@@ -18,6 +18,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -366,14 +367,15 @@ func run(args []string) int {
 		if path == "" {
 			path = "zmapgo-trace." + map[string]string{"jsonl": "jsonl", "chrome": "json"}[*traceFmt]
 		}
-		// Write-then-rename so a concurrent reader (or a SIGUSR1 arriving
-		// during the scan-end dump) never sees a torn file.
-		tmp := path + ".tmp"
-		f, err := os.Create(tmp)
+		// Write-then-rename so a concurrent reader never sees a torn file.
+		// Each dump gets its own temp file: a SIGUSR1 dump can overlap
+		// the scan-end dump, and a shared name would interleave them.
+		f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "zmapgo: trace dump:", err)
 			return
 		}
+		tmp := f.Name()
 		werr := scanner.WriteTrace(f, *traceFmt)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr

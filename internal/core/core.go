@@ -732,7 +732,7 @@ func (s *Scanner) initMetrics(validator *validate.Validator) {
 	s.dedupMisses = reg.Counter("zmapgo_dedup_misses_total",
 		"Validated responses seen for the first time.")
 	validator.Instrument(reg.Counter("zmapgo_validate_computes_total",
-		"Validation-word (HMAC) computations across send and receive paths."))
+		"Validation-word (AES PRF) computations across send and receive paths."))
 
 	c := &s.counters
 	reg.CounterFunc("zmapgo_sent_total",

@@ -435,8 +435,9 @@ type Snapshot struct {
 
 // Snapshot copies the retained ring window and the journal. It is safe
 // concurrently with writers: torn slots (overwritten mid-copy) are
-// discarded, which can cost at most the few events written during the
-// copy itself.
+// discarded. A writer that laps the copy leaves holes — new events in
+// slots the copy already passed are missed — so each shard keeps only
+// its newest hole-free run of events.
 func (r *Recorder) Snapshot() *Snapshot {
 	snap := &Snapshot{
 		Epoch:       r.epoch,
@@ -445,6 +446,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 		RingSize:    r.ringSize,
 	}
 	for si, sh := range r.shards {
+		first := len(snap.Events)
 		for slot := 0; slot < r.ringSize; slot++ {
 			base := slot * slotWords
 			seq := sh.words[base].Load()
@@ -467,6 +469,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 				Val:   val,
 			})
 		}
+		snap.Events = append(snap.Events[:first], newestRun(snap.Events[first:])...)
 	}
 	sortEvents(snap.Events)
 	r.mu.Lock()
@@ -474,6 +477,17 @@ func (r *Recorder) Snapshot() *Snapshot {
 	snap.JournalDrop = r.jDropped
 	r.mu.Unlock()
 	return snap
+}
+
+// newestRun returns the longest suffix of one shard's events, in seq
+// order, whose seqs are consecutive.
+func newestRun(ev []Event) []Event {
+	sort.Slice(ev, func(i, j int) bool { return ev[i].Seq < ev[j].Seq })
+	i := len(ev) - 1
+	for i > 0 && ev[i-1].Seq+1 == ev[i].Seq {
+		i--
+	}
+	return ev[max(i, 0):]
 }
 
 // sortEvents orders by timestamp, then shard/seq for determinism.

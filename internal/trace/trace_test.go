@@ -195,7 +195,7 @@ func TestChromeTraceParses(t *testing.T) {
 
 // TestSnapshotUnderWriters is the -race probe for the seqlock: shards
 // hammered by their writers while snapshots run concurrently must yield
-// only well-formed events.
+// only well-formed events, in a hole-free window per shard.
 func TestSnapshotUnderWriters(t *testing.T) {
 	r := New(Config{Shards: 4, RingSize: 128})
 	stop := make(chan struct{})
@@ -236,6 +236,17 @@ func TestSnapshotUnderWriters(t *testing.T) {
 				t.Fatalf("duplicate seq %d in shard %d", e.Seq, e.Shard)
 			}
 			m[e.Seq] = true
+		}
+		// Writers lap the reader here (128-slot rings), yet each shard's
+		// retained window must still be hole-free.
+		for shard, m := range perShard {
+			lo, hi := ^uint64(0), uint64(0)
+			for seq := range m {
+				lo, hi = min(lo, seq), max(hi, seq)
+			}
+			if uint64(len(m)) != hi-lo+1 {
+				t.Fatalf("shard %d: %d events spanning seqs %d..%d", shard, len(m), lo, hi)
+			}
 		}
 	}
 	close(stop)

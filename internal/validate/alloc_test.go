@@ -7,7 +7,7 @@ import (
 
 // The receive path classifies every candidate response with the shared
 // Validator from several workers at once, so Compute must be both
-// concurrency-safe and allocation-free once its MAC pool is warm. This
+// concurrency-safe and allocation-free once its hasher pool is warm. This
 // pins the zero-alloc half; TestComputeConcurrent (under -race) covers
 // the other.
 func TestComputeZeroAlloc(t *testing.T) {
@@ -28,7 +28,7 @@ func TestComputeZeroAlloc(t *testing.T) {
 }
 
 // Concurrent callers must see the same words a lone caller computes:
-// pooled MAC state must never bleed between flows.
+// pooled hasher state must never bleed between flows.
 func TestComputeConcurrent(t *testing.T) {
 	v := New([KeySize]byte{7, 7, 7})
 	const flows = 512

@@ -4,21 +4,21 @@
 // packet is a genuine response to a probe it sent — rather than backscatter
 // or an attacker guessing — using only the packet itself. It does so by
 // deriving the mutable fields of each probe (TCP sequence number, ICMP id,
-// UDP source port entropy) from a keyed MAC over the flow tuple. A
-// response echoes these fields (a SYN-ACK acknowledges seq+1), so the
-// receiver can recompute the MAC and compare.
+// UDP source port entropy) from a keyed pseudorandom function of the flow
+// tuple. A response echoes these fields (a SYN-ACK acknowledges seq+1), so
+// the receiver can recompute the word and compare.
 //
-// The C implementation uses AES-128 with a per-scan key; we use
-// HMAC-SHA256 truncated to 8 bytes, which provides the same unforgeability
-// property with stdlib crypto.
+// Like the C implementation, the PRF is one AES block: a validation word
+// is the first 8 bytes of E_k(src‖dst‖port‖zero pad), keyed with the
+// per-scan 32-byte key (AES-256). IPv6 tuples do not fit one block, so
+// Compute6 is a fixed-length CBC-MAC over src‖dst‖port (three blocks).
 package validate
 
 import (
-	"crypto/hmac"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"sync"
 )
 
@@ -34,55 +34,26 @@ type ComputeCounter interface {
 // Validator computes per-target validation words for one scan.
 //
 // Compute sits on both hot paths — once per rendered probe and twice per
-// classified response — so the keyed HMAC state is pooled and reused
-// rather than rebuilt per call: after warm-up a Compute performs no heap
-// allocation, which the receive path's zero-alloc contract depends on.
-// The pool makes the Validator safe for concurrent use by sender threads
-// and receive workers.
+// classified response. Slices handed to cipher.Block.Encrypt escape, so
+// the block buffers live in pooled Hashers rather than on the caller's
+// stack: after warm-up a Compute performs no heap allocation, which the
+// receive path's zero-alloc contract depends on. The pool makes the
+// Validator safe for concurrent use by sender threads and receive workers.
 type Validator struct {
 	key      [KeySize]byte
+	block    cipher.Block
 	computes ComputeCounter
-	macs     sync.Pool // *macScratch
+	hashers  sync.Pool // *Hasher, uncounted: Validator counts its own calls
 }
-
-// macScratch is one reusable keyed-MAC evaluation context. The sum
-// buffer is sized so hmac's append-style Sum never grows it, and the
-// tuple buffer lives here (not on the caller's stack) because slices
-// passed through the hash.Hash interface escape.
-type macScratch struct {
-	mac   hash.Hash
-	sum   [sha256.Size]byte
-	tuple [34]byte
-}
-
-// getMAC fetches a pooled scratch, creating one on first use per P.
-func (v *Validator) getMAC() *macScratch {
-	if s, ok := v.macs.Get().(*macScratch); ok {
-		s.mac.Reset()
-		return s
-	}
-	return &macScratch{mac: hmac.New(sha256.New, v.key[:])}
-}
-
-// finish extracts the truncated validation word and returns the scratch
-// to the pool.
-func (v *Validator) finish(s *macScratch) uint64 {
-	out := s.mac.Sum(s.sum[:0])
-	w := binary.BigEndian.Uint64(out[:8])
-	v.macs.Put(s)
-	return w
-}
-
-// Instrument attaches a counter incremented once per validation-word
-// computation (MakeProbe computes twice per probe — source port and
-// sequence — and Classify once per candidate response, so this tracks
-// validator load on both hot paths). Call before the scan starts; a nil
-// counter disables counting.
-func (v *Validator) Instrument(c ComputeCounter) { v.computes = c }
 
 // New creates a Validator with the given per-scan key.
 func New(key [KeySize]byte) *Validator {
-	return &Validator{key: key}
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		// A KeySize-byte key is always a valid AES-256 key.
+		panic("validate: " + err.Error())
+	}
+	return &Validator{key: key, block: block}
 }
 
 // NewRandom creates a Validator with a fresh random key.
@@ -97,20 +68,51 @@ func NewRandom() (*Validator, error) {
 // Key returns the validator's key (for scan metadata / resumption).
 func (v *Validator) Key() [KeySize]byte { return v.key }
 
+// Instrument attaches a counter incremented once per validation-word
+// computation (MakeProbe computes twice per probe — source port and
+// sequence — and Classify once per candidate response, so this tracks
+// validator load on both hot paths). Call before the scan starts; a nil
+// counter disables counting.
+func (v *Validator) Instrument(c ComputeCounter) { v.computes = c }
+
+// NewHasher builds a reusable hasher keyed like the validator. It
+// inherits the validator's compute counter (see Instrument) so
+// validator-load metrics cover both paths; attach the counter before
+// creating hashers.
+func (v *Validator) NewHasher() *Hasher {
+	return &Hasher{block: v.block, computes: v.computes}
+}
+
+// get counts one computation and fetches a pooled, uncounted Hasher;
+// the caller puts it back.
+func (v *Validator) get() *Hasher {
+	if v.computes != nil {
+		v.computes.Add(1)
+	}
+	if h, ok := v.hashers.Get().(*Hasher); ok {
+		return h
+	}
+	return &Hasher{block: v.block}
+}
+
 // Compute returns the 8-byte validation word for a flow. The same tuple
 // always produces the same word within a scan, so validation needs no
 // lookup table. srcIP/dstIP are the PROBE's source and destination; when
 // validating a response the caller swaps them back.
 func (v *Validator) Compute(srcIP, dstIP uint32, dstPort uint16) uint64 {
-	if v.computes != nil {
-		v.computes.Add(1)
-	}
-	s := v.getMAC()
-	binary.BigEndian.PutUint32(s.tuple[0:4], srcIP)
-	binary.BigEndian.PutUint32(s.tuple[4:8], dstIP)
-	binary.BigEndian.PutUint16(s.tuple[8:10], dstPort)
-	s.mac.Write(s.tuple[:10])
-	return v.finish(s)
+	h := v.get()
+	w := h.Compute(srcIP, dstIP, dstPort)
+	v.hashers.Put(h)
+	return w
+}
+
+// Compute6 is the IPv6 analogue of Compute over the 16-byte source and
+// destination addresses plus the destination port.
+func (v *Validator) Compute6(src, dst [16]byte, dstPort uint16) uint64 {
+	h := v.get()
+	w := h.compute6(src, dst, dstPort)
+	v.hashers.Put(h)
+	return w
 }
 
 // TCPSeq returns the 32-bit sequence number to place in a SYN probe for
@@ -137,20 +139,6 @@ func (v *Validator) ICMPIDSeq(srcIP, dstIP uint32) (id, seq uint16) {
 	return uint16(w >> 16), uint16(w)
 }
 
-// Compute6 is the IPv6 analogue of Compute, MACing the 16-byte source
-// and destination addresses plus the destination port.
-func (v *Validator) Compute6(src, dst [16]byte, dstPort uint16) uint64 {
-	if v.computes != nil {
-		v.computes.Add(1)
-	}
-	s := v.getMAC()
-	copy(s.tuple[0:16], src[:])
-	copy(s.tuple[16:32], dst[:])
-	binary.BigEndian.PutUint16(s.tuple[32:34], dstPort)
-	s.mac.Write(s.tuple[:34])
-	return v.finish(s)
-}
-
 // TCPSeq6 derives the SYN sequence number for a v6 flow.
 func (v *Validator) TCPSeq6(src, dst [16]byte, dstPort uint16) uint32 {
 	return uint32(v.Compute6(src, dst, dstPort))
@@ -164,6 +152,65 @@ func (v *Validator) SourcePort(base uint16, count uint16, dstIP uint32, dstPort 
 	if count <= 1 {
 		return base
 	}
-	w := v.Compute(0, dstIP, dstPort)
+	return sourcePort(base, count, v.Compute(0, dstIP, dstPort))
+}
+
+func sourcePort(base, count uint16, w uint64) uint16 {
 	return base + uint16(w>>32)%count
+}
+
+// Hasher computes validation words with one AES block encryption and
+// zero heap allocations per call, for the batched send path. It owns the
+// block buffers the cipher reads and writes, so nothing escapes per call.
+//
+// A Hasher is NOT safe for concurrent use: each sender thread owns one.
+type Hasher struct {
+	block    cipher.Block
+	in, out  [aes.BlockSize]byte
+	computes ComputeCounter
+}
+
+// encrypt counts one computation, enciphers in into out, and returns
+// the word: the leading 8 bytes of out.
+func (hr *Hasher) encrypt() uint64 {
+	if hr.computes != nil {
+		hr.computes.Add(1)
+	}
+	hr.block.Encrypt(hr.out[:], hr.in[:])
+	return binary.BigEndian.Uint64(hr.out[:8])
+}
+
+// Compute returns the validation word for a flow; identical to
+// Validator.Compute on the same key.
+func (hr *Hasher) Compute(srcIP, dstIP uint32, dstPort uint16) uint64 {
+	hr.in = [aes.BlockSize]byte{}
+	binary.BigEndian.PutUint32(hr.in[0:4], srcIP)
+	binary.BigEndian.PutUint32(hr.in[4:8], dstIP)
+	binary.BigEndian.PutUint16(hr.in[8:10], dstPort)
+	return hr.encrypt()
+}
+
+// compute6 returns the IPv6 validation word: the CBC-MAC (zero IV) of
+// src‖dst‖port‖zero pad. The message length is fixed, which is what
+// makes plain CBC-MAC a PRF. Only the last encryption is counted, so one
+// word is one computation as in Compute.
+func (hr *Hasher) compute6(src, dst [16]byte, dstPort uint16) uint64 {
+	hr.in = src
+	hr.block.Encrypt(hr.out[:], hr.in[:])
+	for i := range hr.in {
+		hr.in[i] = hr.out[i] ^ dst[i]
+	}
+	hr.block.Encrypt(hr.out[:], hr.in[:])
+	hr.in = hr.out
+	hr.in[0] ^= byte(dstPort >> 8)
+	hr.in[1] ^= byte(dstPort)
+	return hr.encrypt()
+}
+
+// SourcePort mirrors Validator.SourcePort.
+func (hr *Hasher) SourcePort(base, count uint16, dstIP uint32, dstPort uint16) uint16 {
+	if count <= 1 {
+		return base
+	}
+	return sourcePort(base, count, hr.Compute(0, dstIP, dstPort))
 }

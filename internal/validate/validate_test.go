@@ -1,6 +1,9 @@
 package validate
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -11,6 +14,51 @@ func testValidator() *Validator {
 		key[i] = byte(i * 7)
 	}
 	return New(key)
+}
+
+// testCipher is the reference PRF: crypto/aes keyed with testValidator's key.
+func testCipher(t *testing.T) cipher.Block {
+	key := testValidator().Key()
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return block
+}
+
+// A v4 word is the first 8 bytes of one AES block over src‖dst‖port‖0-pad.
+func TestComputeKnownAnswer(t *testing.T) {
+	in := [16]byte{10, 0, 0, 1, 1, 2, 3, 4, 0x01, 0xBB}
+	var out [16]byte
+	testCipher(t).Encrypt(out[:], in[:])
+	want := binary.BigEndian.Uint64(out[:8])
+	v := testValidator()
+	if got := v.Compute(0x0A000001, 0x01020304, 443); got != want {
+		t.Errorf("Validator.Compute = %#x, want %#x", got, want)
+	}
+	if got := v.NewHasher().Compute(0x0A000001, 0x01020304, 443); got != want {
+		t.Errorf("Hasher.Compute = %#x, want %#x", got, want)
+	}
+}
+
+// A v6 word is the first 8 bytes of the last block of a zero-IV CBC
+// encryption of src‖dst‖port‖0-pad (fixed-length CBC-MAC).
+func TestCompute6KnownAnswer(t *testing.T) {
+	src := [16]byte{0x20, 0x01, 0x0d, 0xb8, 15: 1}
+	dst := [16]byte{0x20, 0x01, 0x0d, 0xb8, 0xff, 15: 0x42}
+	msg := make([]byte, 48)
+	copy(msg[0:16], src[:])
+	copy(msg[16:32], dst[:])
+	binary.BigEndian.PutUint16(msg[32:34], 8443)
+	cipher.NewCBCEncrypter(testCipher(t), make([]byte, aes.BlockSize)).CryptBlocks(msg, msg)
+	want := binary.BigEndian.Uint64(msg[32:40])
+	v := testValidator()
+	if got := v.Compute6(src, dst, 8443); got != want {
+		t.Errorf("Validator.Compute6 = %#x, want %#x", got, want)
+	}
+	if got := v.NewHasher().compute6(src, dst, 8443); got != want {
+		t.Errorf("Hasher.compute6 = %#x, want %#x", got, want)
+	}
 }
 
 func TestComputeDeterministic(t *testing.T) {

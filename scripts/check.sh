@@ -36,8 +36,9 @@ go test -race -count=1 -run 'TestScanBatchedFaultyTransport' ./internal/core
 echo "==> sharded receive parity: byte-equal output across worker counts, per-shard dedup resume"
 go test -race -count=1 \
     -run 'TestShardedRecvEquivalence|TestShardedRecvResumeExactlyOnce' ./internal/core
-go test -count=1 -run 'TestShardedRecvZeroAllocs|TestComputeZeroAlloc' \
-    ./internal/core ./internal/validate
+go test -count=1 \
+    -run 'TestShardedRecvZeroAllocs|TestComputeZeroAlloc|TestHasherZeroAllocs|TestCSVWriterZeroAlloc' \
+    ./internal/core ./internal/validate ./internal/output
 
 echo "==> scan health: congestion knee + dark-subnet quarantine scenarios"
 go test -race -count=1 \
