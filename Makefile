@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench clean
+.PHONY: all build test race vet check bench BENCH_dedup.json clean
 
 all: build
 
@@ -22,10 +22,11 @@ check:
 	./scripts/check.sh
 
 # bench regenerates the committed baselines: the send-path shapes
-# (probes/sec, ns/probe, allocs/probe with speedups vs per-probe) and
-# the flight-recorder hot path (RecordAt must stay <= 50 ns / 0 allocs;
-# the Stamp variant prices the optional time.Now).
-bench:
+# (probes/sec, ns/probe, allocs/probe with speedups vs per-probe), the
+# flight-recorder hot path (RecordAt must stay <= 50 ns / 0 allocs;
+# the Stamp variant prices the optional time.Now), the receive path and
+# the dedup window (fresh insert, repeat, and what building one costs).
+bench: BENCH_dedup.json
 	$(GO) test -run XXX -bench 'BenchmarkSendPath' -benchtime=2s ./internal/core \
 		| $(GO) run ./scripts/benchjson -baseline BenchmarkSendPathPerProbe \
 		> BENCH_sendpath.json
@@ -38,6 +39,12 @@ bench:
 		| $(GO) run ./scripts/benchjson -baseline 'BenchmarkRecvPath/workers=1' \
 		> BENCH_recvpath.json
 	@cat BENCH_recvpath.json
+
+BENCH_dedup.json:
+	$(GO) test -run XXX -bench 'BenchmarkWindowSeen|BenchmarkNewWindow' -benchmem -benchtime=2s ./internal/dedup \
+		| $(GO) run ./scripts/benchjson \
+		> BENCH_dedup.json
+	@cat BENCH_dedup.json
 
 clean:
 	$(GO) clean ./...

@@ -1,22 +1,47 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"zmapgo/zmap"
 )
 
 // TestMain makes this test binary usable as its own fleet worker: the
 // coordinator spawned by the fleet subcommand re-executes the current
-// binary, which under `go test` is the test binary itself.
+// binary, which under `go test` is the test binary itself. It also fails
+// the suite if a test dumped the flight recorder into the package
+// directory (the CLI's default dump path) instead of a temp dir.
 func TestMain(m *testing.M) {
 	if zmap.FleetWorkerMain() {
 		return
 	}
-	os.Exit(m.Run())
+	before := traceDumps()
+	code := m.Run()
+	for name, mod := range traceDumps() {
+		if prev, ok := before[name]; !ok || !prev.Equal(mod) {
+			fmt.Fprintf(os.Stderr, "test wrote flight-recorder dump %s into the source tree; pass --trace-file under t.TempDir()\n", name)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// traceDumps maps each default-path trace dump in the working directory
+// to its modification time.
+func traceDumps() map[string]time.Time {
+	names, _ := filepath.Glob("zmapgo-trace.*")
+	dumps := make(map[string]time.Time, len(names))
+	for _, name := range names {
+		if fi, err := os.Stat(name); err == nil {
+			dumps[name] = fi.ModTime()
+		}
+	}
+	return dumps
 }
 
 // TestCLIFleetScan drives the fleet subcommand end-to-end: two worker

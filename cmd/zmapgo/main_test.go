@@ -235,7 +235,8 @@ func TestCLIFatalTransportSavesResumableState(t *testing.T) {
 		"--sim-lossless", "--sim-time-scale", "0", "--cooldown-time", "100ms",
 	}
 	args := append(append([]string{}, common...),
-		"--sim-fault-fatal-after", "300", "--state-file", state, "-o", out1)
+		"--sim-fault-fatal-after", "300", "--state-file", state, "-o", out1,
+		"--trace-file", filepath.Join(dir, "abort-trace.jsonl"))
 	if code := run(args); code != 3 {
 		t.Fatalf("fatal-transport exit code %d, want 3", code)
 	}

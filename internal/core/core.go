@@ -410,6 +410,9 @@ func (c *Config) Validate() error {
 	if c.AdaptiveRate && c.Rate <= 0 {
 		return errors.New("core: AdaptiveRate requires a configured Rate")
 	}
+	if c.DedupWindow > dedup.MaxWindowSize {
+		return fmt.Errorf("core: DedupWindow %d exceeds %d", c.DedupWindow, dedup.MaxWindowSize)
+	}
 	return nil
 }
 

@@ -347,6 +347,20 @@ func TestDedupDisabled(t *testing.T) {
 	}
 }
 
+func TestDedupWindowTooLarge(t *testing.T) {
+	big := int64(dedup.MaxWindowSize) + 1
+	if int64(int(big)) != big {
+		t.Skip("int cannot exceed MaxWindowSize on this platform")
+	}
+	in, cfg, _ := testbed(t, 107, "80")
+	cfg.DedupWindow = int(big)
+	link := netsim.NewLink(in, 1<<17, 0)
+	defer link.Close()
+	if _, err := New(cfg, link); err == nil {
+		t.Fatal("oversized DedupWindow accepted")
+	}
+}
+
 func TestLegacyBitmapDeduper(t *testing.T) {
 	in, cfg, _ := testbed(t, 108, "80")
 	cfg.ProbesPerTarget = 2

@@ -13,9 +13,12 @@
 //   - Window: a sliding window of the last n (IP, port) responses — the
 //     modern design. The C implementation indexes the window with a Judy
 //     array; the property Figure 5 depends on is O(1) membership with
-//     memory proportional to occupancy, which a hash index provides
-//     identically, so that is what backs Window here. A ring buffer
-//     provides FIFO expiry.
+//     memory proportional to occupancy. Here one open-addressed hash
+//     table over a FIFO ring plays that role (KeyedWindow): both start
+//     empty and grow as responses arrive, never past what n keys need,
+//     so building a window costs nothing and a scan that receives
+//     little holds little. The IPv6 scanner's (address, port) keys run
+//     on the same code.
 //
 // Deduplicators are not safe for concurrent use. ZMap dedupes on a
 // single receive thread; the sharded receive path keeps that invariant
@@ -23,6 +26,8 @@
 // of the key space — ShardOf decides which worker owns a key, so Seen
 // needs no mutex.
 package dedup
+
+import "unsafe"
 
 // Deduper records (IP, port) response keys and reports repeats.
 type Deduper interface {
@@ -85,31 +90,20 @@ func (b *Bitmap) MemoryBytes() uint64 {
 // FullBitmapBytes(48) the 35 TB figure from §4.1.
 func FullBitmapBytes(bits uint) uint64 { return (uint64(1) << bits) / 8 }
 
-// Window is the modern sliding-window deduplicator over 48-bit (IP, port)
-// keys: a hash membership index (the Judy-array equivalent) plus a ring
-// buffer that evicts the oldest key once the window is full.
-type Window struct {
-	size  int
-	ring  []uint64 // keys in insertion order
-	head  int      // next slot to overwrite
-	used  int
-	index map[uint64]struct{}
-}
+// Window is the modern sliding-window deduplicator over packed 48-bit
+// (IP, port) keys: a KeyedWindow[uint64] with an (IP, port) front end.
+type Window struct{ KeyedWindow[uint64] }
 
 // NewWindow returns a sliding-window deduplicator remembering the last
-// size responses. Size must be positive.
-func NewWindow(size int) *Window {
-	if size <= 0 {
-		panic("dedup: window size must be positive")
-	}
-	return &Window{
-		size:  size,
-		ring:  make([]uint64, size),
-		index: make(map[uint64]struct{}, size),
-	}
-}
+// size responses. Size must be in [1, MaxWindowSize]. The window starts
+// empty and allocates as responses arrive. Keys hash with mix64: ShardOf
+// spends its low bits choosing the shard, the table reads the high half.
+func NewWindow(size int) *Window { return &Window{newKeyedWindow(size, mix64)} }
 
 func key(ip uint32, port uint16) uint64 { return uint64(ip)<<16 | uint64(port) }
+
+// Seen implements Deduper over the 48-bit key space.
+func (w *Window) Seen(ip uint32, port uint16) bool { return w.KeyedWindow.Seen(key(ip, port)) }
 
 // mix64 is the splitmix64 finalizer: a full-avalanche 64-bit mixer, so
 // adjacent (IP, port) keys — scans walk dense ranges — spread uniformly
@@ -132,39 +126,154 @@ func ShardOf(ip uint32, port uint16, mask uint32) uint32 {
 	return uint32(mix64(key(ip, port))) & mask
 }
 
-// Seen implements Deduper over the 48-bit key space.
-func (w *Window) Seen(ip uint32, port uint16) bool {
-	k := key(ip, port)
-	if _, dup := w.index[k]; dup {
-		return true
+// MaxWindowSize is the largest window: a table slot holds a 32-bit ring
+// position and a 32-bit hash tag that also picks the slot's home.
+const MaxWindowSize = 1<<31 - 1
+
+// ringChunkBits sets the ring's allocation unit: the FIFO grows 2^16
+// keys at a time, so it follows occupancy without copying on growth.
+const ringChunkBits = 16
+
+// KeyedWindow is the sliding-window deduplicator over any comparable
+// key: a FIFO ring of the last size keys, indexed by an open-addressed
+// hash table (linear probing, backward-shift deletion on eviction).
+// Both start empty and grow with occupancy — the ring in fixed chunks,
+// the table by doubling at load ½ — up to what size keys need, so an
+// idle window costs nothing and a full one costs its keys plus a table
+// of 8-byte slots at load between ¼ and ½. Window specializes it to
+// packed (IP, port) keys; the IPv6 hitlist scanner uses [18]byte
+// (address, port) keys.
+type KeyedWindow[K comparable] struct {
+	size  int
+	hash  func(K) uint64
+	table []uint64 // tag<<32 | (ring position + 1); 0 = empty slot
+	ring  [][]K    // keys by ring position, in 2^ringChunkBits chunks
+	head  int      // ring position of the next fresh key (the oldest once full)
+	used  int
+}
+
+// NewKeyedWindow returns a window remembering the last size keys. Size
+// must be in [1, MaxWindowSize]. The table indexes keys by the high 32
+// bits of hash, which should mix every key bit into them; verdicts never
+// depend on the hash, only speed does.
+func NewKeyedWindow[K comparable](size int, hash func(K) uint64) *KeyedWindow[K] {
+	w := newKeyedWindow(size, hash)
+	return &w
+}
+
+func newKeyedWindow[K comparable](size int, hash func(K) uint64) KeyedWindow[K] {
+	if size <= 0 || size > MaxWindowSize {
+		panic("dedup: window size must be in [1, MaxWindowSize]")
+	}
+	return KeyedWindow[K]{size: size, hash: hash}
+}
+
+func (w *KeyedWindow[K]) at(pos int) *K {
+	return &w.ring[pos>>ringChunkBits][pos&(1<<ringChunkBits-1)]
+}
+
+// Seen records k and reports whether it was already in the window.
+func (w *KeyedWindow[K]) Seen(k K) bool {
+	tag := uint32(w.hash(k) >> 32)
+	if len(w.table) > 0 {
+		mask := uint32(len(w.table) - 1)
+		for i := tag & mask; w.table[i] != 0; i = (i + 1) & mask {
+			if s := w.table[i]; uint32(s>>32) == tag && *w.at(int(uint32(s)) - 1) == k {
+				return true
+			}
+		}
 	}
 	if w.used == w.size {
-		delete(w.index, w.ring[w.head])
+		w.evict(w.head)
 	} else {
 		w.used++
+		w.reserve()
 	}
-	w.ring[w.head] = k
-	w.head = (w.head + 1) % w.size
-	w.index[k] = struct{}{}
+	*w.at(w.head) = k
+	w.place(uint64(tag)<<32 | uint64(w.head+1))
+	if w.head++; w.head == w.size {
+		w.head = 0
+	}
 	return false
 }
 
-// Len implements Deduper.
-func (w *Window) Len() int { return w.used }
+// reserve makes room for key number w.used at ring position w.head
+// while the window is still filling.
+func (w *KeyedWindow[K]) reserve() {
+	if w.head>>ringChunkBits == len(w.ring) {
+		w.ring = append(w.ring, make([]K, min(1<<ringChunkBits, w.size-w.head)))
+	}
+	if 2*w.used <= len(w.table) {
+		return
+	}
+	// Load stays <= ½: the table doubles up to 2*size rounded to a
+	// power of two, which a full window never outgrows.
+	n := 2 * len(w.table)
+	if n == 0 {
+		n = 16
+		for n/4 >= w.size { // a tiny window starts at the size it needs
+			n /= 2
+		}
+	}
+	old := w.table
+	w.table = make([]uint64, n)
+	for _, s := range old {
+		if s != 0 {
+			w.place(s)
+		}
+	}
+}
+
+// place stores slot s at the first free slot from its tag's home.
+func (w *KeyedWindow[K]) place(s uint64) {
+	mask := uint32(len(w.table) - 1)
+	i := uint32(s>>32) & mask
+	for w.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	w.table[i] = s
+}
+
+// evict drops the key at ring position pos from the table, shifting the
+// rest of its probe run back so no lookup meets a hole.
+func (w *KeyedWindow[K]) evict(pos int) {
+	mask := uint32(len(w.table) - 1)
+	i := uint32(w.hash(*w.at(pos))>>32) & mask
+	for uint32(w.table[i]) != uint32(pos+1) {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; w.table[j] != 0; j = (j + 1) & mask {
+		// Move the slot at j into the hole unless its home lies in (i, j].
+		if home := uint32(w.table[j]>>32) & mask; (j-home)&mask >= (j-i)&mask {
+			w.table[i] = w.table[j]
+			i = j
+		}
+	}
+	w.table[i] = 0
+}
+
+// Len returns the number of keys currently tracked.
+func (w *KeyedWindow[K]) Len() int { return w.used }
 
 // Size returns the configured window capacity.
-func (w *Window) Size() int { return w.size }
+func (w *KeyedWindow[K]) Size() int { return w.size }
 
 // Keys returns the window contents in insertion order, oldest first —
 // the serializable state a checkpoint needs to carry dedup across a
 // process restart. Replaying the returned slice through Seen on an empty
 // window of the same size reproduces the exact membership and eviction
 // order.
-func (w *Window) Keys() []uint64 {
-	out := make([]uint64, 0, w.used)
-	start := w.head - w.used
-	for i := 0; i < w.used; i++ {
-		out = append(out, w.ring[((start+i)%w.size+w.size)%w.size])
+func (w *KeyedWindow[K]) Keys() []K {
+	out := make([]K, 0, w.used)
+	pos := w.head - w.used
+	if pos < 0 {
+		pos += w.size
+	}
+	for range w.used {
+		out = append(out, *w.at(pos))
+		if pos++; pos == w.size {
+			pos = 0
+		}
 	}
 	return out
 }
@@ -173,58 +282,19 @@ func (w *Window) Keys() []uint64 {
 // window, as if each had been Seen. Keys beyond the window size evict
 // the oldest, matching live behavior, so restoring into a smaller window
 // keeps the most recent keys.
-func (w *Window) Restore(keys []uint64) {
+func (w *KeyedWindow[K]) Restore(keys []K) {
 	for _, k := range keys {
-		w.Seen(uint32(k>>16), uint16(k&0xFFFF))
+		w.Seen(k)
 	}
 }
 
-// MemoryBytes implements Deduper: the ring plus an estimate of the hash
-// index (Go maps cost roughly 48 bytes per uint64 key entry including
-// bucket overhead at typical load factors).
-func (w *Window) MemoryBytes() uint64 {
-	const perEntry = 48
-	return uint64(len(w.ring))*8 + uint64(len(w.index))*perEntry
-}
-
-// KeyedWindow is the sliding-window deduplicator generalized over any
-// comparable key type. Window specializes it to packed 48-bit (IP, port)
-// keys; the IPv6 hitlist scanner uses [18]byte (address, port) keys.
-type KeyedWindow[K comparable] struct {
-	size  int
-	ring  []K
-	head  int
-	used  int
-	index map[K]struct{}
-}
-
-// NewKeyedWindow returns a window remembering the last size keys.
-func NewKeyedWindow[K comparable](size int) *KeyedWindow[K] {
-	if size <= 0 {
-		panic("dedup: window size must be positive")
+// MemoryBytes returns the bytes held by the allocated ring chunks and
+// the hash table.
+func (w *KeyedWindow[K]) MemoryBytes() uint64 {
+	var zero K
+	n := uint64(len(w.table)) * 8
+	for _, c := range w.ring {
+		n += uint64(len(c)) * uint64(unsafe.Sizeof(zero))
 	}
-	return &KeyedWindow[K]{
-		size:  size,
-		ring:  make([]K, size),
-		index: make(map[K]struct{}, size),
-	}
+	return n
 }
-
-// Seen records k and reports whether it was already in the window.
-func (w *KeyedWindow[K]) Seen(k K) bool {
-	if _, dup := w.index[k]; dup {
-		return true
-	}
-	if w.used == w.size {
-		delete(w.index, w.ring[w.head])
-	} else {
-		w.used++
-	}
-	w.ring[w.head] = k
-	w.head = (w.head + 1) % w.size
-	w.index[k] = struct{}{}
-	return false
-}
-
-// Len returns the number of keys currently tracked.
-func (w *KeyedWindow[K]) Len() int { return w.used }

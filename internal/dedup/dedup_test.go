@@ -1,10 +1,17 @@
 package dedup
 
 import (
+	"hash/maphash"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+var seed18 = maphash.MakeSeed()
+
+// hash18 hashes IPv6 (address, port) keys the way the v6 scanner does.
+func hash18(k [18]byte) uint64 { return maphash.Bytes(seed18, k[:]) }
 
 func TestBitmapBasic(t *testing.T) {
 	b := NewBitmap()
@@ -189,15 +196,24 @@ func TestWindowIndexReclamation(t *testing.T) {
 	for i := uint32(0); i < 10; i++ {
 		w.Seen(i<<20, 1)
 	}
-	memAtFull := w.MemoryBytes()
+	memAtFull, tableAtFull := w.MemoryBytes(), len(w.table)
 	for i := uint32(100); i < 10000; i++ {
 		w.Seen(i<<20, 1)
 	}
 	if w.MemoryBytes() != memAtFull {
 		t.Errorf("memory grew from %d to %d across eviction churn", memAtFull, w.MemoryBytes())
 	}
-	if len(w.index) != 10 {
-		t.Errorf("index holds %d keys, want 10", len(w.index))
+	if len(w.table) != tableAtFull {
+		t.Errorf("table grew from %d to %d slots across eviction churn", tableAtFull, len(w.table))
+	}
+	occupied := 0
+	for _, s := range w.table {
+		if s != 0 {
+			occupied++
+		}
+	}
+	if occupied != 10 {
+		t.Errorf("index holds %d keys, want 10", occupied)
 	}
 }
 
@@ -260,7 +276,7 @@ func BenchmarkWindowSeenDuplicate(b *testing.B) {
 var benchBool bool
 
 func TestKeyedWindowV6StyleKeys(t *testing.T) {
-	w := NewKeyedWindow[[18]byte](2)
+	w := NewKeyedWindow(2, hash18)
 	k := func(b byte) [18]byte { var a [18]byte; a[0] = b; return a }
 	if w.Seen(k(1)) {
 		t.Error("fresh key seen")
@@ -284,7 +300,7 @@ func TestKeyedWindowPanicsOnBadSize(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewKeyedWindow[int](0)
+	NewKeyedWindow(0, func(k int) uint64 { return mix64(uint64(k)) })
 }
 
 func TestWindowKeysOldestFirst(t *testing.T) {
@@ -370,3 +386,195 @@ func TestWindowRestoreIntoSmallerWindowKeepsNewest(t *testing.T) {
 		}
 	}
 }
+
+// fifoSet is the window surface the model checks, over either key type.
+type fifoSet[K comparable] interface {
+	Seen(K) bool
+	Len() int
+	Keys() []K
+	Restore([]K)
+}
+
+// packed drives a Window through its (IP, port) front end with packed keys.
+type packed struct{ *Window }
+
+func (p packed) Seen(k uint64) bool { return p.Window.Seen(uint32(k>>16), uint16(k)) }
+
+// restoreOp (and any byte above it) in a fuzz stream checkpoints the
+// first window into a fresh one that must track the model from then on.
+const restoreOp = 0xF8
+
+// checkFIFOModel runs ops against fresh windows of the given size and a
+// naive FIFO-set model, comparing every verdict, Len and Keys order.
+func checkFIFOModel[K comparable](t *testing.T, size int, ops []byte, keyOf func(byte) K, fresh func() fifoSet[K]) {
+	t.Helper()
+	windows := []fifoSet[K]{fresh()}
+	var fifo []K
+	for step, b := range ops {
+		if b >= restoreOp {
+			if len(windows) < 4 {
+				w := fresh()
+				w.Restore(windows[0].Keys())
+				windows = append(windows, w)
+			}
+		} else {
+			k := keyOf(b)
+			want := slices.Contains(fifo, k)
+			if !want {
+				if len(fifo) == size {
+					fifo = fifo[1:]
+				}
+				fifo = append(fifo, k)
+			}
+			for i, w := range windows {
+				if got := w.Seen(k); got != want {
+					t.Fatalf("size %d step %d window %d: Seen(%v) = %v, model %v", size, step, i, k, got, want)
+				}
+			}
+		}
+		for i, w := range windows {
+			if w.Len() != len(fifo) {
+				t.Fatalf("size %d step %d window %d: Len = %d, model %d", size, step, i, w.Len(), len(fifo))
+			}
+			if keys := w.Keys(); !slices.Equal(keys, fifo) {
+				t.Fatalf("size %d step %d window %d: Keys = %v, model %v", size, step, i, keys, fifo)
+			}
+		}
+	}
+}
+
+// sameShardKeys returns 0 followed by packed keys whose mix64 shares its
+// low six bits with 0's: one receive shard's keys at 64 workers.
+func sameShardKeys(n int) []uint64 {
+	keys := []uint64{0}
+	for i := uint64(1); len(keys) < n; i++ {
+		if k := i * 0x9E3779B97F4A7C15 >> 16; mix64(k)&63 == mix64(0)&63 {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+func FuzzWindowMatchesFIFOModel(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 1, 0, 3})
+	f.Add([]byte{0, 0, 0, 1, 0, 0xFF, 1, 0})
+	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 0xF8, 1, 6, 7, 8, 0, 1, 2})
+	f.Add([]byte{63, 0, 8, 16, 24, 32, 40, 48, 56, 0, 8, 0xFA, 1, 9, 17, 25})
+	pool := sameShardKeys(64)
+	packedKey := func(b byte) uint64 { return pool[b%64] }
+	v6Key := func(b byte) [18]byte {
+		var k [18]byte
+		k[0], k[17] = b%64, b%64
+		return k
+	}
+	// Degenerate hashes force long shared probe runs, tag matches
+	// between distinct keys and backward shifts across the table's end.
+	collide := func(k uint64) uint64 { return mix64(k & 3) }
+	weak18 := func(k [18]byte) uint64 { return mix64(uint64(k[0] & 7)) }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		size, ops := int(data[0])%64+1, data[1:]
+		checkFIFOModel(t, size, ops, packedKey, func() fifoSet[uint64] { return packed{NewWindow(size)} })
+		checkFIFOModel(t, size, ops, packedKey, func() fifoSet[uint64] {
+			w := NewWindow(size)
+			w.hash = collide
+			return packed{w}
+		})
+		checkFIFOModel(t, size, ops, v6Key, func() fifoSet[[18]byte] { return NewKeyedWindow(size, hash18) })
+		checkFIFOModel(t, size, ops, v6Key, func() fifoSet[[18]byte] { return NewKeyedWindow(size, weak18) })
+	})
+}
+
+func TestWindowZeroAllocs(t *testing.T) {
+	// Once full, Seen allocates on neither path: fresh-plus-evict and
+	// repeat. The size spans two ring chunks, the second one short.
+	const size = 1<<ringChunkBits + 3
+	w := NewWindow(size)
+	for i := uint32(0); i < size; i++ {
+		w.Seen(i, 80)
+	}
+	next := uint32(size)
+	if a := testing.AllocsPerRun(1000, func() {
+		if w.Seen(next, 80) {
+			t.Fatal("fresh key reported seen")
+		}
+		next++
+	}); a != 0 {
+		t.Errorf("fresh-plus-evict Seen: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		if !w.Seen(next-1, 80) {
+			t.Fatal("repeat missed")
+		}
+	}); a != 0 {
+		t.Errorf("repeat Seen: %v allocs, want 0", a)
+	}
+	if w.Len() != size {
+		t.Errorf("Len = %d, want %d", w.Len(), size)
+	}
+
+	v6 := NewKeyedWindow(64, hash18)
+	var k [18]byte
+	for i := 0; i < 64; i++ {
+		k[0], k[1] = byte(i), byte(i>>8)
+		v6.Seen(k)
+	}
+	n := 64
+	if a := testing.AllocsPerRun(1000, func() {
+		k[0], k[1] = byte(n), byte(n>>8)
+		v6.Seen(k)
+		v6.Seen(k)
+		n++
+	}); a != 0 {
+		t.Errorf("[18]byte Seen: %v allocs, want 0", a)
+	}
+}
+
+func TestWindowMemoryExact(t *testing.T) {
+	// An empty window holds nothing; a full one holds its ring chunks
+	// (2^16 keys each, the last cut to size) plus a power-of-two table
+	// at load <= ½ — and never more, however long it churns.
+	const size = 1<<ringChunkBits + 3
+	w := NewWindow(size)
+	if w.MemoryBytes() != 0 {
+		t.Fatalf("empty window holds %d bytes, want 0", w.MemoryBytes())
+	}
+	for i := uint32(0); i < 3*size; i++ {
+		w.Seen(i*2654435761, uint16(i))
+	}
+	const tableSlots = 1 << 18 // 2*size rounded up to a power of two
+	if want := uint64(size*8 + tableSlots*8); w.MemoryBytes() != want {
+		t.Errorf("full window holds %d bytes, want %d", w.MemoryBytes(), want)
+	}
+	keys := w.Keys()
+	for i, k := range keys {
+		j := uint32(2*size + i)
+		if k != key(j*2654435761, uint16(j)) {
+			t.Fatalf("Keys()[%d] is not the key of insert %d", i, j)
+		}
+	}
+	for size := 1; size <= 100; size++ {
+		w := NewWindow(size)
+		for i := uint32(0); i < uint32(3*size); i++ {
+			w.Seen(i, 1)
+		}
+		slots := 1
+		for slots < 2*size {
+			slots *= 2
+		}
+		if want := uint64(size*8 + slots*8); w.MemoryBytes() != want {
+			t.Errorf("size %d: full window holds %d bytes, want %d", size, w.MemoryBytes(), want)
+		}
+	}
+}
+
+func BenchmarkNewWindow(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchWindow = NewWindow(DefaultWindowSize)
+	}
+}
+
+var benchWindow *Window

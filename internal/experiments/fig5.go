@@ -157,8 +157,9 @@ type DedupMemRow struct {
 }
 
 // DedupMem regenerates the §4.1 memory arithmetic: the 2^32 bitmap costs
-// 512 MB, a 48-bit bitmap would cost 35 TB, and the sliding window's trie
-// stays within tens of megabytes at the default size.
+// 512 MB, a 48-bit bitmap would cost 35 TB, and the full sliding window
+// at the default size costs its ring plus its open-addressed index:
+// tens of megabytes.
 func DedupMem(w io.Writer) []DedupMemRow {
 	header(w, "Table: dedup memory", "bitmap vs sliding window (§4.1)")
 	win := dedup.NewWindow(dedup.DefaultWindowSize)
@@ -169,7 +170,7 @@ func DedupMem(w io.Writer) []DedupMemRow {
 	rows := []DedupMemRow{
 		{"bitmap 2^32 (single port)", dedup.FullBitmapBytes(32), "paper: 512 MB"},
 		{"bitmap 2^48 (IP x port)", dedup.FullBitmapBytes(48), "paper: 35 TB - infeasible"},
-		{"sliding window 10^6 (hash-indexed ring)", win.MemoryBytes(), "default; Figure 5 shows ~zero residual dups"},
+		{"sliding window 10^6 (open-addressed ring)", win.MemoryBytes(), "default; Figure 5 shows ~zero residual dups"},
 	}
 	for _, r := range rows {
 		printf(w, "%-42s %16d bytes  (%s)\n", r.Design, r.Bytes, r.Note)

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math/rand"
 	"net/netip"
@@ -187,6 +188,9 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 	if cfg.Cooldown == 0 {
 		cfg.Cooldown = 2 * time.Second
 	}
+	if cfg.DedupWindow > dedup.MaxWindowSize {
+		return nil, fmt.Errorf("v6scan: DedupWindow %d exceeds %d", cfg.DedupWindow, dedup.MaxWindowSize)
+	}
 	if cfg.SourceAddr == ([16]byte{}) {
 		cfg.SourceAddr = defaultV6Source
 	}
@@ -209,7 +213,8 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 		if size == 0 {
 			size = dedup.DefaultWindowSize
 		}
-		window = dedup.NewKeyedWindow[[18]byte](size)
+		seed := maphash.MakeSeed()
+		window = dedup.NewKeyedWindow(size, func(k [18]byte) uint64 { return maphash.Bytes(seed, k[:]) })
 	}
 	return &Scanner{
 		cfg:       cfg,

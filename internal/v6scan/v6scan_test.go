@@ -2,12 +2,14 @@ package v6scan
 
 import (
 	"context"
+	"math"
 	"net/netip"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"zmapgo/internal/dedup"
 	"zmapgo/internal/netsim"
 	"zmapgo/internal/packet"
 	"zmapgo/internal/target"
@@ -249,6 +251,9 @@ func TestV6ConfigValidation(t *testing.T) {
 		{Ports: ps},  // no hitlist
 		{Hitlist: h}, // no ports
 		{Hitlist: h, Ports: ps, Shards: 2, ShardIndex: 2}, // bad shard
+	}
+	if math.MaxInt > dedup.MaxWindowSize {
+		cases = append(cases, Config{Hitlist: h, Ports: ps, DedupWindow: math.MaxInt}) // window too large
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg, link); err == nil {

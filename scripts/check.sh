@@ -37,8 +37,8 @@ echo "==> sharded receive parity: byte-equal output across worker counts, per-sh
 go test -race -count=1 \
     -run 'TestShardedRecvEquivalence|TestShardedRecvResumeExactlyOnce' ./internal/core
 go test -count=1 \
-    -run 'TestShardedRecvZeroAllocs|TestComputeZeroAlloc|TestHasherZeroAllocs|TestCSVWriterZeroAlloc' \
-    ./internal/core ./internal/validate ./internal/output
+    -run 'TestShardedRecvZeroAllocs|TestWindowZeroAllocs|TestComputeZeroAlloc|TestHasherZeroAllocs|TestCSVWriterZeroAlloc' \
+    ./internal/core ./internal/dedup ./internal/validate ./internal/output
 
 echo "==> scan health: congestion knee + dark-subnet quarantine scenarios"
 go test -race -count=1 \
