@@ -16,14 +16,16 @@ import (
 // from any simulated network behavior.
 type nullTransport struct{ sent atomic.Uint64 }
 
-func (t *nullTransport) Send(frame []byte) error { t.sent.Add(1); return nil }
-
 func (t *nullTransport) SendBatch(frames [][]byte) (int, error) {
 	t.sent.Add(uint64(len(frames)))
 	return len(frames), nil
 }
 
 func (t *nullTransport) Recv() <-chan []byte { return nil }
+
+func (t *nullTransport) RecvBatch([][]byte) int { return 0 }
+
+func (t *nullTransport) Release([]byte) {}
 
 func (t *nullTransport) Stats() (sent, received, dropped uint64) {
 	return t.sent.Load(), 0, 0
@@ -58,6 +60,7 @@ func BenchmarkSendPathPerProbe(b *testing.B) {
 	limiter := ratelimit.New(0, ratelimit.RealClock{})
 	tr := &nullTransport{}
 	buf := make([]byte, 0, 128)
+	one := make([][]byte, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,7 +69,8 @@ func BenchmarkSendPathPerProbe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tr.Send(buf); err != nil {
+		one[0] = buf
+		if _, err := tr.SendBatch(one); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,66 +53,32 @@ import (
 const Version = "1.0.0"
 
 // Transport is the wire the scanner sends probes into and receives
-// responses from. netsim.Link implements it for the simulated Internet; a
-// raw-socket implementation would satisfy it on a real network.
+// responses from, in batches (the sendmmsg/recvmmsg analogues, §4.3).
+// netsim.Link implements it for the simulated Internet; a raw-socket
+// implementation would satisfy it on a real network.
 //
-// Send may fail. Errors that implement Transient() bool, or that wrap a
-// retryable errno (see IsTransientSendError), are retried under the
+// SendBatch attempts the frames in order and returns how many were
+// accepted: frames[:sent] are on the wire; when err is non-nil,
+// frames[sent] is the attempt that failed and frames[sent+1:] were not
+// attempted. The transport must not retain the frame slices after
+// returning — senders re-patch them in place for the next batch.
+// Errors that implement Transient() bool, or that wrap a retryable
+// errno (see IsTransientSendError), are retried under the
 // Config.Retries/Backoff policy; anything else is fatal to the sender
 // thread and triggers supervision.
-type Transport interface {
-	Send(frame []byte) error
-	Recv() <-chan []byte
-	Stats() (sent, received, dropped uint64)
-}
-
-// BatchTransport is the batched extension of Transport (the sendmmsg
-// analogue, §4.3). SendBatch attempts the frames in order and returns
-// how many were accepted: frames[:sent] are on the wire; when err is
-// non-nil, frames[sent] is the attempt that failed and frames[sent+1:]
-// were not attempted. The transport must not retain the frame slices
-// after returning — senders re-patch them in place for the next batch.
 //
-// Transports that do not implement it still work: the engine falls
-// back to per-frame Send with identical failure semantics.
-type BatchTransport interface {
-	Transport
+// The engine blocks on Recv for the first frame of a train and drains
+// the rest through RecvBatch, which moves up to len(dst) already-queued
+// frames into dst without blocking and returns how many it delivered.
+// Recv's channel is never closed. The engine calls Release exactly once
+// per received frame, after it has finished reading it, so the
+// transport can recycle the buffer.
+type Transport interface {
 	SendBatch(frames [][]byte) (sent int, err error)
-}
-
-// FrameReleaser is an optional Transport extension for pooled receive
-// buffers: the engine calls Release exactly once per frame drawn from
-// Recv, after it has finished reading it, so the transport can recycle
-// the buffer instead of leaving it to the garbage collector.
-type FrameReleaser interface {
-	Release(frame []byte)
-}
-
-// BatchReceiver is the batched extension of Transport's receive side
-// (the recvmmsg analogue, mirroring BatchTransport on the send side).
-// RecvBatch moves up to len(dst) already-queued frames into dst without
-// blocking and returns how many it delivered; the engine blocks on Recv
-// for the first frame of a train and drains the rest through RecvBatch,
-// amortizing the per-wakeup costs (clock reads, channel operations)
-// across the whole train. Transports that do not implement it still
-// work: the engine falls back to draining Recv without blocking.
-type BatchReceiver interface {
+	Recv() <-chan []byte
 	RecvBatch(dst [][]byte) int
-}
-
-// sendFrames pushes a batch through the transport, natively when it
-// implements BatchTransport and frame-by-frame otherwise, with the
-// BatchTransport return contract either way.
-func sendFrames(t Transport, frames [][]byte) (int, error) {
-	if bt, ok := t.(BatchTransport); ok {
-		return bt.SendBatch(frames)
-	}
-	for i, frame := range frames {
-		if err := t.Send(frame); err != nil {
-			return i, err
-		}
-	}
-	return len(frames), nil
+	Release(frame []byte)
+	Stats() (sent, received, dropped uint64)
 }
 
 // Config describes one scan. Zero values get ZMap's defaults where a
@@ -482,7 +448,7 @@ type Scanner struct {
 	// Instrumentation (see Config.Metrics). Histograms are sharded per
 	// sender thread so hot-path records never contend.
 	registry    *metrics.Registry
-	sendLat     *metrics.Histogram // per-attempt transport.Send latency
+	sendLat     *metrics.Histogram // per-attempt transport send latency
 	backoffLat  *metrics.Histogram // retry backoff delay
 	recvLat     *metrics.Histogram // receive→validate latency
 	rlWait      *metrics.Histogram // time blocked in the rate limiter
@@ -1670,7 +1636,7 @@ func (s *Scanner) flushBatch(ctx context.Context, limiter *ratelimit.Limiter, fr
 		}
 		chunk := frames[idx : idx+tokens]
 		t0 := time.Now()
-		sent, serr := sendFrames(s.transport, chunk)
+		sent, serr := s.transport.SendBatch(chunk)
 		// Amortize the call's latency across its attempts (delivered
 		// frames plus the failed one, if any), so the histogram keeps
 		// counting per-probe transport time as it did pre-batching.
@@ -1712,7 +1678,7 @@ func (s *Scanner) flushBatch(ctx context.Context, limiter *ratelimit.Limiter, fr
 			return idx, sendFatal, serr
 		}
 		// The failing frame retries alone; the rest of the batch waits.
-		rout, rerr := s.retryFrame(ctx, frames[idx], keys[idx], tsh, sendLat, backoffLat)
+		rout, rerr := s.retryFrame(ctx, frames[idx:idx+1], keys[idx], tsh, sendLat, backoffLat)
 		switch rout {
 		case sendOK:
 			s.counters.Sent()
@@ -1739,8 +1705,10 @@ func (s *Scanner) flushBatch(ctx context.Context, limiter *ratelimit.Limiter, fr
 // retryFrame re-attempts one frame whose batch attempt failed
 // transiently: up to cfg.Retries re-sends with bounded exponential
 // backoff (on cfg.Clock), identical to the historical per-probe retry
-// policy. The caller has already counted the triggering SendError.
-func (s *Scanner) retryFrame(ctx context.Context, frame []byte, key uint64, tsh *trace.Shard, lat, backoff *metrics.HistShard) (sendOutcome, error) {
+// policy. frame is the one-element slice of the batch holding it, so a
+// re-send allocates nothing. The caller has already counted the
+// triggering SendError.
+func (s *Scanner) retryFrame(ctx context.Context, frame [][]byte, key uint64, tsh *trace.Shard, lat, backoff *metrics.HistShard) (sendOutcome, error) {
 	cfg := &s.cfg
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -1758,7 +1726,7 @@ func (s *Scanner) retryFrame(ctx context.Context, frame []byte, key uint64, tsh 
 		backoff.Record(d)
 		cfg.Clock.Sleep(d)
 		t0 := time.Now()
-		err = s.transport.Send(frame)
+		_, err = s.transport.SendBatch(frame)
 		lat.Record(time.Since(t0))
 		if err == nil {
 			return sendOK, nil
@@ -1772,16 +1740,15 @@ func (s *Scanner) retryFrame(ctx context.Context, frame []byte, key uint64, tsh 
 
 // recvLoop is the receive-side dispatcher: it blocks on the transport
 // for the first frame of a train, drains the rest of the train in one
-// non-blocking batch (RecvBatch when the transport implements it), and
-// fans the frames out to the pipeline workers by flow hash. It runs
-// until stop closes (end of cooldown) or the context dies; the deferred
-// shutdown flushes the workers and the merge writer, so every frame
-// read before return is fully processed and written.
+// non-blocking RecvBatch, and fans the frames out to the pipeline
+// workers by flow hash. It runs until stop closes (end of cooldown) or
+// the context dies; the deferred shutdown flushes the workers and the
+// merge writer, so every frame read before return is fully processed
+// and written.
 func (s *Scanner) recvLoop(ctx context.Context, stop <-chan struct{}, cooldownAt *atomic.Int64) {
 	p := s.recvPipe
 	p.start(cooldownAt)
 	defer p.shutdown()
-	br, _ := s.transport.(BatchReceiver)
 	recvCh := s.transport.Recv()
 	scratch := make([][]byte, recvBatchFrames)
 	fills := make([]*recvBatch, len(p.workers))
@@ -1795,21 +1762,7 @@ func (s *Scanner) recvLoop(ctx context.Context, stop <-chan struct{}, cooldownAt
 			// One clock read per train, shared by every frame in it.
 			t0 := time.Now()
 			scratch[0] = frame
-			n := 1
-			if br != nil {
-				n += br.RecvBatch(scratch[1:])
-			} else {
-			drain:
-				for n < len(scratch) {
-					select {
-					case f := <-recvCh:
-						scratch[n] = f
-						n++
-					default:
-						break drain
-					}
-				}
-			}
+			n := 1 + s.transport.RecvBatch(scratch[1:])
 			s.fanout(scratch[:n], fills, t0)
 		}
 	}

@@ -30,7 +30,7 @@ var transientErrnos = []syscall.Errno{
 	syscall.ENOMEM,
 }
 
-// IsTransientSendError reports whether a Transport.Send failure is worth
+// IsTransientSendError reports whether a SendBatch failure is worth
 // retrying. An error that implements Transient() bool (anywhere in its
 // chain) speaks for itself; otherwise the errno whitelist decides.
 func IsTransientSendError(err error) bool {
@@ -60,7 +60,7 @@ func backoffFor(base time.Duration, attempt int) time.Duration {
 	return base << uint(attempt)
 }
 
-// sendOutcome classifies one probe's trip through sendWithRetry.
+// sendOutcome classifies how flushBatch and retryFrame left a frame.
 type sendOutcome int
 
 const (

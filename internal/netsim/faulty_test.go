@@ -9,24 +9,34 @@ import (
 
 // nullTransport records sends and never fails.
 type nullTransport struct {
-	mu    sync.Mutex
-	sends int
-	ch    chan []byte
+	mu   sync.Mutex
+	sent [][]byte // copies of every frame handed over, in order
+	ch   chan []byte
 }
 
-func (n *nullTransport) Send(frame []byte) error {
+func (n *nullTransport) SendBatch(frames [][]byte) (int, error) {
 	n.mu.Lock()
-	n.sends++
+	for _, f := range frames {
+		n.sent = append(n.sent, append([]byte(nil), f...))
+	}
 	n.mu.Unlock()
-	return nil
+	return len(frames), nil
 }
 func (n *nullTransport) Recv() <-chan []byte                 { return n.ch }
+func (n *nullTransport) RecvBatch([][]byte) int              { return 0 }
+func (n *nullTransport) Release([]byte)                      {}
 func (n *nullTransport) Stats() (sent, recv, dropped uint64) { return 0, 0, 0 }
 
 func (n *nullTransport) count() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.sends
+	return len(n.sent)
+}
+
+// sendOne pushes a single frame through t as a one-frame batch.
+func sendOne(t Transport, frame []byte) error {
+	_, err := t.SendBatch([][]byte{frame})
+	return err
 }
 
 func TestFaultyFailFirstNPerFrame(t *testing.T) {
@@ -35,15 +45,15 @@ func TestFaultyFailFirstNPerFrame(t *testing.T) {
 	frameA := []byte("frame-a")
 	frameB := []byte("frame-b")
 	for i := 0; i < 2; i++ {
-		if err := ft.Send(frameA); err == nil {
+		if err := sendOne(ft, frameA); err == nil {
 			t.Fatalf("attempt %d of frameA succeeded, want transient fault", i+1)
 		}
 	}
-	if err := ft.Send(frameA); err != nil {
+	if err := sendOne(ft, frameA); err != nil {
 		t.Fatalf("attempt 3 of frameA failed: %v", err)
 	}
 	// frameB has its own schedule regardless of interleaving.
-	if err := ft.Send(frameB); err == nil {
+	if err := sendOne(ft, frameB); err == nil {
 		t.Fatal("first attempt of frameB succeeded, want fault")
 	}
 	if inner.count() != 1 {
@@ -56,7 +66,7 @@ func TestFaultyFailFirstNPerFrame(t *testing.T) {
 
 func TestFaultyTransientErrorClass(t *testing.T) {
 	ft := NewFaultyTransport(&nullTransport{}, FaultConfig{FailFirstN: 1})
-	err := ft.Send([]byte("x"))
+	err := sendOne(ft, []byte("x"))
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -73,11 +83,11 @@ func TestFaultyFatalAfter(t *testing.T) {
 	inner := &nullTransport{}
 	ft := NewFaultyTransport(inner, FaultConfig{FatalAfter: 3})
 	for i := 0; i < 3; i++ {
-		if err := ft.Send([]byte{byte(i)}); err != nil {
+		if err := sendOne(ft, []byte{byte(i)}); err != nil {
 			t.Fatalf("send %d failed early: %v", i, err)
 		}
 	}
-	err := ft.Send([]byte("doomed"))
+	err := sendOne(ft, []byte("doomed"))
 	if err == nil {
 		t.Fatal("send after FatalAfter succeeded")
 	}
@@ -98,7 +108,7 @@ func TestFaultyTransientProbDeterministic(t *testing.T) {
 		ft := NewFaultyTransport(&nullTransport{}, FaultConfig{Seed: seed, TransientProb: 0.5})
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = ft.Send([]byte{byte(i), byte(i >> 8)}) != nil
+			out[i] = sendOne(ft, []byte{byte(i), byte(i >> 8)}) != nil
 		}
 		return out
 	}
@@ -132,7 +142,7 @@ func TestFaultyFailFirstSendsBurst(t *testing.T) {
 	ft := NewFaultyTransport(inner, FaultConfig{FailFirstSends: 5})
 	var errs int
 	for i := 0; i < 10; i++ {
-		if ft.Send([]byte{byte(i)}) != nil {
+		if sendOne(ft, []byte{byte(i)}) != nil {
 			errs++
 		}
 	}
@@ -145,12 +155,59 @@ func TestFaultyZeroConfigPassesThrough(t *testing.T) {
 	inner := &nullTransport{}
 	ft := NewFaultyTransport(inner, FaultConfig{})
 	for i := 0; i < 100; i++ {
-		if err := ft.Send([]byte{byte(i)}); err != nil {
+		if err := sendOne(ft, []byte{byte(i)}); err != nil {
 			t.Fatalf("zero-config fault injected: %v", err)
 		}
 	}
 	if inner.count() != 100 || ft.Injected() != 0 || ft.Attempts() != 100 {
 		t.Errorf("passthrough stats wrong: inner=%d injected=%d attempts=%d",
 			inner.count(), ft.Injected(), ft.Attempts())
+	}
+}
+
+// TestFaultyBatchSplitsAtFirstFault checks the SendBatch return
+// contract under injected faults: the batch stops at the first faulted
+// frame, reports the frames before it as sent, and the inner transport
+// receives exactly those.
+func TestFaultyBatchSplitsAtFirstFault(t *testing.T) {
+	frames := [][]byte{[]byte("f0"), []byte("f1"), []byte("f2"), []byte("f3"), []byte("f4")}
+	cases := []struct {
+		name      string
+		cfg       FaultConfig
+		pre       int // frames[:pre] each get one one-frame attempt first
+		wantSent  int
+		transient bool
+	}{
+		{name: "fatal-after", cfg: FaultConfig{FatalAfter: 3}, wantSent: 3},
+		// The pre-attempts use up the first-attempt faults of frames 0
+		// and 1, so frame 2's first attempt is the batch's first fault.
+		{name: "fail-first-n-third-frame", cfg: FaultConfig{FailFirstN: 1}, pre: 2, wantSent: 2, transient: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := &nullTransport{}
+			ft := NewFaultyTransport(inner, tc.cfg)
+			for _, f := range frames[:tc.pre] {
+				if sendOne(ft, f) == nil {
+					t.Fatalf("pre-attempt of %q succeeded, want fault", f)
+				}
+			}
+			sent, err := ft.SendBatch(frames)
+			if sent != tc.wantSent {
+				t.Errorf("sent = %d, want %d", sent, tc.wantSent)
+			}
+			var se *SendError
+			if !errors.As(err, &se) || se.Transient() != tc.transient {
+				t.Errorf("err = %v, want SendError with Transient() = %v", err, tc.transient)
+			}
+			if len(inner.sent) != tc.wantSent {
+				t.Fatalf("inner received %d frames, want %d", len(inner.sent), tc.wantSent)
+			}
+			for i, f := range inner.sent {
+				if string(f) != string(frames[i]) {
+					t.Errorf("inner frame %d = %q, want %q", i, f, frames[i])
+				}
+			}
+		})
 	}
 }

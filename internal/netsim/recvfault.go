@@ -116,31 +116,15 @@ func NewRecvFaultTransport(inner Transport, cfg RecvFaultConfig) *RecvFaultTrans
 	return t
 }
 
-// Send passes through to the wrapped transport.
-func (t *RecvFaultTransport) Send(frame []byte) error { return t.inner.Send(frame) }
-
-// SendBatch passes through, preserving the inner transport's batch
-// fault semantics (or falling back to per-frame sends).
+// SendBatch passes through to the wrapped transport.
 func (t *RecvFaultTransport) SendBatch(frames [][]byte) (int, error) {
-	if bs, ok := t.inner.(batchSender); ok {
-		return bs.SendBatch(frames)
-	}
-	for i, frame := range frames {
-		if err := t.inner.Send(frame); err != nil {
-			return i, err
-		}
-	}
-	return len(frames), nil
+	return t.inner.SendBatch(frames)
 }
 
 // Release forwards received-frame buffers toward the owning pool. The
 // injector's own emissions (spoofs, duplicate copies) come from the
 // same pool, so everything it delivers releases uniformly.
-func (t *RecvFaultTransport) Release(frame []byte) {
-	if r, ok := t.inner.(releaser); ok {
-		r.Release(frame)
-	}
-}
+func (t *RecvFaultTransport) Release(frame []byte) { t.inner.Release(frame) }
 
 // Recv returns the fault-injected response stream.
 func (t *RecvFaultTransport) Recv() <-chan []byte { return t.out }

@@ -334,9 +334,8 @@ func (l *Link) SetDelayRecorder(r DelayRecorder) { l.delays = r }
 
 // Send injects one probe frame. The frame is processed synchronously
 // (loss, host model) and responses are scheduled for delivery. The
-// lossless in-process link never fails; the error return exists so Link
-// satisfies the engine's fallible Transport contract (wrap it in a
-// FaultyTransport to inject failures).
+// in-process link never fails (wrap it in a FaultyTransport to inject
+// failures).
 func (l *Link) Send(frame []byte) error {
 	l.sent.Add(1)
 	var wEl time.Duration
@@ -385,11 +384,9 @@ func (l *Link) schedule(simDelay time.Duration, frame []byte) {
 	})
 }
 
-// SendBatch injects a batch of probe frames. The in-process link cannot
-// partially fail, but the contract matches the engine's BatchTransport:
-// frames[:sent] were handed off before the error. Frames are consumed
-// synchronously — the caller may reuse their buffers once SendBatch
-// returns.
+// SendBatch injects a batch of probe frames, one Send each. Frames are
+// consumed synchronously — the caller may reuse their buffers once
+// SendBatch returns.
 func (l *Link) SendBatch(frames [][]byte) (int, error) {
 	for i, frame := range frames {
 		if err := l.Send(frame); err != nil {

@@ -1,14 +1,15 @@
 // Package v6scan is the IPv6 hitlist scanner — the capability §4 of the
 // paper notes was implemented twice in forks (XMap, ZMapv6) rather than
-// upstreamed; this package mirrors that history by living beside the v4
-// engine instead of inside it.
+// upstreamed; this package mirrors that history by running its own send
+// and receive loops beside the v4 engine's.
 //
 // IPv6's address space cannot be enumerated, so v6 scanning is
 // hitlist-driven: a curated list of candidate addresses (from DNS, CT
 // logs, traceroutes, ...) is permuted with the same cyclic-group
 // machinery as a v4 scan — the space is hitlist-index × port — and probed
-// with real IPv6/TCP frames. Validation, sharding, rate limiting, and
-// sliding-window dedup are shared with the v4 engine's substrates.
+// with real IPv6/TCP frames. The transport contract and its send-error
+// classifier are the v4 engine's own; validation, sharding, rate
+// limiting, and sliding-window dedup are shared with its substrates.
 package v6scan
 
 import (
@@ -24,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"zmapgo/internal/core"
 	"zmapgo/internal/cyclic"
 	"zmapgo/internal/dedup"
 	"zmapgo/internal/monitor"
@@ -93,19 +95,8 @@ func (h *Hitlist) Len() int { return len(h.addrs) }
 // At returns the i-th address.
 func (h *Hitlist) At(i int) [16]byte { return h.addrs[i] }
 
-// Transport matches the v4 engine's wire interface, including its
-// fallible Send contract.
-type Transport interface {
-	Send(frame []byte) error
-	Recv() <-chan []byte
-	Stats() (sent, received, dropped uint64)
-}
-
-// transientSendError mirrors core's structural error classifier without
-// importing the v4 engine: transport errors self-describe retryability.
-type transientSendError interface {
-	Transient() bool
-}
+// Transport is the v4 engine's transport contract.
+type Transport = core.Transport
 
 // Result is one classified v6 response.
 type Result struct {
@@ -268,6 +259,7 @@ func (s *Scanner) sendLoop(ctx context.Context, a shard.Assignment) {
 	limiter := ratelimit.New(cfg.Rate/float64(cfg.Threads), nil)
 	it := a.Iterator(s.cycle)
 	buf := make([]byte, 0, 128)
+	one := make([][]byte, 1) // buf as a one-frame batch, reused per send
 	for {
 		select {
 		case <-ctx.Done():
@@ -290,26 +282,26 @@ func (s *Scanner) sendLoop(ctx context.Context, a shard.Assignment) {
 		if err != nil {
 			continue // unbuildable probe: skip the target, never send a partial frame
 		}
-		if !s.sendWithRetry(buf) {
+		one[0] = buf
+		if !s.sendWithRetry(one) {
 			return // fatal transport error: stop this sender
 		}
 	}
 }
 
-// sendWithRetry pushes one frame with a small fixed retry budget for
-// transient transport errors (the v6 path keeps core's policy in
-// miniature: 10 attempts, 1ms doubling backoff). It reports false on a
-// fatal error.
-func (s *Scanner) sendWithRetry(frame []byte) bool {
+// sendWithRetry pushes a one-frame batch with a small fixed retry
+// budget for transient transport errors, classified as the v4 engine
+// classifies them (the v6 path keeps core's policy in miniature: 10
+// attempts, 1ms doubling backoff). It reports false on a fatal error.
+func (s *Scanner) sendWithRetry(frame [][]byte) bool {
 	backoff := time.Millisecond
 	for attempt := 0; ; attempt++ {
-		err := s.transport.Send(frame)
+		_, err := s.transport.SendBatch(frame)
 		if err == nil {
 			s.counters.Sent()
 			return true
 		}
-		var te transientSendError
-		if !errors.As(err, &te) || !te.Transient() {
+		if !core.IsTransientSendError(err) {
 			return false
 		}
 		if attempt >= 10 {
@@ -342,7 +334,6 @@ func (s *Scanner) makeProbe(buf []byte, dst [16]byte, port uint16) ([]byte, erro
 }
 
 func (s *Scanner) recvLoop(ctx context.Context, stop <-chan struct{}) {
-	cfg := &s.cfg
 	for {
 		select {
 		case <-ctx.Done():
@@ -350,41 +341,50 @@ func (s *Scanner) recvLoop(ctx context.Context, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case frame := <-s.transport.Recv():
-			s.counters.Recv()
-			f, err := packet.ParseIPv6(frame)
-			if err != nil || f.TCP == nil || f.IP.Dst != cfg.SourceAddr {
-				continue
-			}
-			addr, port := f.IP.Src, f.TCP.SrcPort
-			isRST := f.TCP.Flags&packet.FlagRST != 0
-			seq := s.validator.TCPSeq6(cfg.SourceAddr, addr, port)
-			if f.TCP.Ack != seq+1 && !(isRST && f.TCP.Ack == seq) {
-				continue // fails stateless validation
-			}
-			res := Result{Addr: netip.AddrFrom16(addr), Port: port}
-			switch {
-			case f.TCP.Flags&packet.FlagSYN != 0 && f.TCP.Flags&packet.FlagACK != 0:
-				res.Class, res.Success = "synack", true
-			case isRST:
-				res.Class = "rst"
-			default:
-				continue
-			}
-			if s.window != nil {
-				var key [18]byte
-				copy(key[:16], addr[:])
-				key[16], key[17] = byte(port>>8), byte(port)
-				res.Repeat = s.window.Seen(key)
-			}
-			if res.Repeat {
-				s.counters.Duplicate()
-			}
-			if res.Success {
-				s.counters.Success(!res.Repeat)
-			}
-			if cfg.Emit != nil {
-				cfg.Emit(res)
-			}
+			s.handleFrame(frame)
+			s.transport.Release(frame)
 		}
+	}
+}
+
+// handleFrame parses, validates, classifies and dedups one received
+// frame. Nothing it emits refers to the frame, which the caller then
+// releases to the transport.
+func (s *Scanner) handleFrame(frame []byte) {
+	cfg := &s.cfg
+	s.counters.Recv()
+	f, err := packet.ParseIPv6(frame)
+	if err != nil || f.TCP == nil || f.IP.Dst != cfg.SourceAddr {
+		return
+	}
+	addr, port := f.IP.Src, f.TCP.SrcPort
+	isRST := f.TCP.Flags&packet.FlagRST != 0
+	seq := s.validator.TCPSeq6(cfg.SourceAddr, addr, port)
+	if f.TCP.Ack != seq+1 && !(isRST && f.TCP.Ack == seq) {
+		return // fails stateless validation
+	}
+	res := Result{Addr: netip.AddrFrom16(addr), Port: port}
+	switch {
+	case f.TCP.Flags&packet.FlagSYN != 0 && f.TCP.Flags&packet.FlagACK != 0:
+		res.Class, res.Success = "synack", true
+	case isRST:
+		res.Class = "rst"
+	default:
+		return
+	}
+	if s.window != nil {
+		var key [18]byte
+		copy(key[:16], addr[:])
+		key[16], key[17] = byte(port>>8), byte(port)
+		res.Repeat = s.window.Seen(key)
+	}
+	if res.Repeat {
+		s.counters.Duplicate()
+	}
+	if res.Success {
+		s.counters.Success(!res.Repeat)
+	}
+	if cfg.Emit != nil {
+		cfg.Emit(res)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -238,6 +240,47 @@ func TestV6ScanShardsPartition(t *testing.T) {
 		if n != 1 {
 			t.Errorf("%v found by %d shards", addr, n)
 		}
+	}
+}
+
+// enobufsLink fails its first fail SendBatch calls with a bare kernel
+// ENOBUFS, the errno a raw socket returns when its buffer is full.
+type enobufsLink struct {
+	*netsim.Link
+	fail  int64
+	calls atomic.Int64
+}
+
+func (l *enobufsLink) SendBatch(frames [][]byte) (int, error) {
+	if l.calls.Add(1) <= l.fail {
+		return 0, syscall.ENOBUFS
+	}
+	return l.Link.SendBatch(frames)
+}
+
+// TestV6RetriesTransientErrno checks that the v6 sender classifies send
+// errors as the v4 engine does: a bare ENOBUFS is retried, not fatal.
+func TestV6RetriesTransientErrno(t *testing.T) {
+	in := netsim.New(netsim.DefaultConfig(607))
+	link := &enobufsLink{Link: netsim.NewLink(in, 1<<10, 0), fail: 3}
+	defer link.Close()
+	ps, _ := target.ParsePorts("80")
+	s, err := New(Config{
+		Hitlist: synthHitlist(t, 64), Ports: ps, Seed: 7,
+		Cooldown: 10 * time.Millisecond,
+	}, link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Sent != sum.Targets {
+		t.Errorf("sent %d of %d targets after %d ENOBUFS failures", sum.Sent, sum.Targets, link.fail)
+	}
+	if got := link.calls.Load(); got < int64(sum.Targets)+link.fail {
+		t.Errorf("%d SendBatch calls, want at least %d", got, int64(sum.Targets)+link.fail)
 	}
 }
 

@@ -32,6 +32,8 @@ go test -race -count=1 -run 'TestCLISigintCheckpointResume|TestCheckpointResumeE
 
 echo "==> batched send loop vs faulty transport (batch-size sweep)"
 go test -race -count=1 -run 'TestScanBatchedFaultyTransport' ./internal/core
+go test -race -count=1 -run 'TestFaulty|TestRecvFault' ./internal/netsim
+go test -race -count=1 -run 'TestV6' ./internal/v6scan
 
 echo "==> sharded receive parity: byte-equal output across worker counts, per-shard dedup resume"
 go test -race -count=1 \

@@ -55,9 +55,10 @@ func WriteMetrics(w io.Writer, reg *MetricsRegistry) error {
 // Version is the library version (semantic versioning, per §5).
 const Version = core.Version
 
-// Transport moves frames between the scanner and a network. It is
-// satisfied by the simulated link returned from Internet.NewLink. Send
-// may fail; see ErrSenderAborted for how unrecoverable failures surface.
+// Transport moves frames between the scanner and a network in batches.
+// It is satisfied by the simulated link returned from Internet.NewLink.
+// SendBatch may fail part-way; see ErrSenderAborted for how
+// unrecoverable failures surface.
 type Transport = core.Transport
 
 // ErrSenderAborted is returned (wrapped) by Scanner.Run when sender
