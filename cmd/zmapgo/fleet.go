@@ -69,20 +69,22 @@ func runFleet(args []string) int {
 	}
 
 	opts := zmap.FleetOptions{
-		Workers:            *workers,
-		Dir:                *fleetDir,
-		Ranges:             zmap.ParseTargets(*ranges),
-		Blocklist:          zmap.ParseTargets(*blocklist),
-		Ports:              *ports,
-		Probe:              *probeModule,
-		Seed:               *seed,
-		Threads:            *threads,
-		ProbesPerTarget:    *probes,
-		Cooldown:           *cooldown,
-		MaxRuntime:         *maxRuntime,
-		Format:             *format,
-		Filter:             *filter,
-		Rate:               *rate,
+		Workers: *workers,
+		Dir:     *fleetDir,
+		Scan: zmap.Options{
+			Ranges:          zmap.ParseTargets(*ranges),
+			Blocklist:       zmap.ParseTargets(*blocklist),
+			Ports:           *ports,
+			Probe:           *probeModule,
+			Seed:            *seed,
+			Threads:         *threads,
+			ProbesPerTarget: *probes,
+			Cooldown:        *cooldown,
+			MaxRuntime:      *maxRuntime,
+			Format:          *format,
+			Filter:          *filter,
+			Rate:            *rate,
+		},
 		SimSeed:            *simSeed,
 		SimLossless:        *simLossless,
 		SimTimeScale:       *timeScale,

@@ -159,24 +159,31 @@ func TestCLIOptOutFile(t *testing.T) {
 	}
 }
 
-func TestCLIStateFileResume(t *testing.T) {
+// TestCLICheckpointResumeAfterCap: a scan capped by --max-targets
+// leaves an exact final checkpoint; resuming it scans only the
+// remainder, the halves are disjoint, and together they find exactly
+// what an uncapped scan finds.
+func TestCLICheckpointResumeAfterCap(t *testing.T) {
 	dir := t.TempDir()
-	state := filepath.Join(dir, "scan.state")
+	ck := filepath.Join(dir, "scan.ckpt")
 	out1 := filepath.Join(dir, "half1.txt")
 	out2 := filepath.Join(dir, "half2.txt")
+	ref := filepath.Join(dir, "ref.txt")
 	common := []string{
 		"-r", "10.0.0.0/20", "-p", "80", "--seed", "9", "-T", "2",
 		"--sim-lossless", "--sim-time-scale", "0", "--cooldown-time", "100ms",
 	}
-	// First half: cap at 2000 targets, save state.
+	if code := run(append(append([]string{}, common...), "-o", ref)); code != 0 {
+		t.Fatalf("reference exit %d", code)
+	}
+	// First half: cap at 2000 targets, checkpointing.
 	args := append(append([]string{}, common...),
-		"--max-targets", "2000", "--state-file", state, "-o", out1)
+		"--max-targets", "2000", "--checkpoint", ck, "-o", out1)
 	if code := run(args); code != 0 {
 		t.Fatalf("first half exit %d", code)
 	}
-	// Second half: resume from state.
-	args = append(append([]string{}, common...),
-		"--resume", state, "-o", out2)
+	// Second half: resume from the checkpoint.
+	args = append(append([]string{}, common...), "--resume-from", ck, "-o", out2)
 	if code := run(args); code != 0 {
 		t.Fatalf("resume exit %d", code)
 	}
@@ -190,11 +197,29 @@ func TestCLIStateFileResume(t *testing.T) {
 		if seen[addr] {
 			t.Fatalf("%s found by both halves", addr)
 		}
+		seen[addr] = true
 	}
-	// Resuming with mismatched flags must be rejected.
-	bad := append(append([]string{}, common...), "--resume", state, "-T", "3", "-o", os.DevNull)
-	if code := run(bad); code == 0 {
-		t.Error("resume with mismatched thread count accepted")
+	want, _ := os.ReadFile(ref)
+	if refAddrs := strings.Fields(string(want)); len(seen) != len(refAddrs) {
+		t.Fatalf("halves found %d services, uncapped scan %d", len(seen), len(refAddrs))
+	}
+	// Resuming under a different permutation (thread count) must be
+	// rejected by the fingerprint check.
+	bad := append(append([]string{}, common...), "--resume-from", ck, "-T", "3", "-o", os.DevNull)
+	if code := run(bad); code != 1 {
+		t.Errorf("resume with mismatched thread count exited %d, want 1", code)
+	}
+}
+
+// TestCLIRejectsNegativeCounts: negative thread and probe counts are
+// configuration errors (exit 1), not a panic or a silent empty scan.
+func TestCLIRejectsNegativeCounts(t *testing.T) {
+	for _, flag := range []string{"-T", "-P"} {
+		code := run([]string{"-r", "10.0.0.0/28", flag, "-1", "--sim-time-scale", "0",
+			"--cooldown-time", "1ms", "-o", os.DevNull})
+		if code != 1 {
+			t.Errorf("%s -1 exited %d, want 1", flag, code)
+		}
 	}
 }
 
@@ -224,10 +249,10 @@ func TestCLIFaultInjectionRetriesTransparently(t *testing.T) {
 }
 
 func TestCLIFatalTransportSavesResumableState(t *testing.T) {
-	// A transport that dies permanently must exit nonzero but still save
-	// resumable state; a clean resume finishes the scan.
+	// A transport that dies permanently must exit nonzero but still
+	// write its final checkpoint; a clean resume finishes the scan.
 	dir := t.TempDir()
-	state := filepath.Join(dir, "scan.state")
+	ck := filepath.Join(dir, "scan.ckpt")
 	out1 := filepath.Join(dir, "half1.txt")
 	out2 := filepath.Join(dir, "half2.txt")
 	common := []string{
@@ -235,15 +260,15 @@ func TestCLIFatalTransportSavesResumableState(t *testing.T) {
 		"--sim-lossless", "--sim-time-scale", "0", "--cooldown-time", "100ms",
 	}
 	args := append(append([]string{}, common...),
-		"--sim-fault-fatal-after", "300", "--state-file", state, "-o", out1,
+		"--sim-fault-fatal-after", "300", "--checkpoint", ck, "-o", out1,
 		"--trace-file", filepath.Join(dir, "abort-trace.jsonl"))
 	if code := run(args); code != 3 {
 		t.Fatalf("fatal-transport exit code %d, want 3", code)
 	}
-	if _, err := os.Stat(state); err != nil {
-		t.Fatalf("state file not written: %v", err)
+	if _, err := os.Stat(ck); err != nil {
+		t.Fatalf("checkpoint not written: %v", err)
 	}
-	args = append(append([]string{}, common...), "--resume", state, "-o", out2)
+	args = append(append([]string{}, common...), "--resume-from", ck, "-o", out2)
 	if code := run(args); code != 0 {
 		t.Fatalf("resume exit %d", code)
 	}
@@ -253,6 +278,15 @@ func TestCLIFatalTransportSavesResumableState(t *testing.T) {
 		if strings.Contains(string(b), addr+"\n") {
 			t.Fatalf("%s found by both halves", addr)
 		}
+	}
+	// Together the halves find what a healthy uninterrupted scan finds.
+	ref := filepath.Join(dir, "ref.txt")
+	if code := run(append(append([]string{}, common...), "-o", ref)); code != 0 {
+		t.Fatalf("reference exit %d", code)
+	}
+	want, _ := os.ReadFile(ref)
+	if got, n := len(strings.Fields(string(a)))+len(strings.Fields(string(b))), len(strings.Fields(string(want))); got != n {
+		t.Fatalf("halves found %d services, uninterrupted scan %d", got, n)
 	}
 }
 

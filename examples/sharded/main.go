@@ -34,13 +34,15 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	res, err := zmap.RunFleet(context.Background(), zmap.FleetOptions{
-		Workers:  3,
-		Dir:      dir,
-		Ranges:   []string{"192.168.0.0/16"},
-		Ports:    "443",
-		Seed:     1234, // identical across workers: same permutation
-		Threads:  2,
-		Cooldown: 300 * time.Millisecond,
+		Workers: 3,
+		Dir:     dir,
+		Scan: zmap.Options{
+			Ranges:   []string{"192.168.0.0/16"},
+			Ports:    "443",
+			Seed:     1234, // identical across workers: same permutation
+			Threads:  2,
+			Cooldown: 300 * time.Millisecond,
+		},
 
 		SimSeed:            5,
 		SimLossless:        true,

@@ -159,7 +159,7 @@ func TestScanBatchedFaultyTransport(t *testing.T) {
 func TestBatchedKillAndResumeExactCoverage(t *testing.T) {
 	// Stop a large-batch scan mid-flight (MaxRuntime ends the send phase
 	// partway through, then cooldown drains in-flight responses), then
-	// resume from its reported progress: the two runs together must probe
+	// resume from its final checkpoint: the two runs together must probe
 	// every target exactly once and reach full ground-truth coverage.
 	// Progress resolves at batch granularity, so this exercises the
 	// give-back of filled-but-unflushed elements.
@@ -167,6 +167,7 @@ func TestBatchedKillAndResumeExactCoverage(t *testing.T) {
 	cfg.BatchSize = 256
 	cfg.Rate = 30000 // slow enough that the stop lands mid-scan
 	cfg.MaxRuntime = 150 * time.Millisecond
+	withCheckpoint(t, &cfg)
 	link := netsim.NewLink(in, 1<<16, 0)
 	s1, err := New(cfg, link)
 	if err != nil {
@@ -184,7 +185,7 @@ func TestBatchedKillAndResumeExactCoverage(t *testing.T) {
 	in2, cfg2, sink2 := testbed(t, 222, "80")
 	cfg2.Seed = cfg.Seed
 	cfg2.BatchSize = 256
-	cfg2.ResumeProgress = meta1.ThreadProgress
+	cfg2.Resume = finalCheckpoint(t, cfg)
 	link2 := netsim.NewLink(in2, 1<<16, 0)
 	defer link2.Close()
 	s2, err := New(cfg2, link2)

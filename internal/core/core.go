@@ -164,20 +164,14 @@ type Config struct {
 	// aborts, and Run returns ErrSenderAborted after the cooldown.
 	MaxSenderRestarts int
 
-	// ResumeProgress restores an interrupted scan: element counts
-	// consumed per sender thread, as reported in the previous run's
-	// metadata (ThreadProgress). Length must equal Threads, and Seed,
-	// Shards, ShardIndex, ShardMode, Ports, and the constraint must be
-	// identical to the original scan or coverage guarantees are void.
-	ResumeProgress []uint64
-
 	// Resume restores an interrupted scan from a checkpoint snapshot
 	// (see internal/checkpoint). The snapshot's configuration fingerprint
 	// must match this scan's — New fails hard on any mismatch, because a
 	// resumed scan with a different permutation is silently wrong. When
 	// Seed is zero it is adopted from the snapshot; everything else must
-	// be configured identically. Resume overrides ResumeProgress and also
-	// restores the dedup sliding window when the snapshot carries one.
+	// be configured identically. Each sender thread continues from the
+	// snapshot's per-thread progress, and the dedup sliding window and
+	// scan-health state are restored when the snapshot carries them.
 	Resume *checkpoint.Snapshot
 
 	// CheckpointPath, when non-empty, makes the scan crash-safe: a
@@ -286,6 +280,12 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
+	if c.Seed == 0 && c.Resume != nil {
+		// Zero means "derive from entropy", which can never match a
+		// checkpoint; adopt the original scan's seed instead. An explicit
+		// non-zero seed still must match (New verifies).
+		c.Seed = c.Resume.Fingerprint.Seed
+	}
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
@@ -370,8 +370,11 @@ func (c *Config) Validate() error {
 	if _, err := probe.Lookup(c.ProbeModule); err != nil {
 		return err
 	}
-	if c.ResumeProgress != nil && len(c.ResumeProgress) != c.Threads {
-		return fmt.Errorf("core: ResumeProgress has %d entries for %d threads", len(c.ResumeProgress), c.Threads)
+	if c.Threads < 1 {
+		return fmt.Errorf("core: Threads must be at least 1, have %d", c.Threads)
+	}
+	if c.ProbesPerTarget < 1 {
+		return fmt.Errorf("core: ProbesPerTarget must be at least 1, have %d", c.ProbesPerTarget)
 	}
 	if c.AdaptiveRate && c.Rate <= 0 {
 		return errors.New("core: AdaptiveRate requires a configured Rate")
@@ -380,6 +383,37 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: DedupWindow %d exceeds %d", c.DedupWindow, dedup.MaxWindowSize)
 	}
 	return nil
+}
+
+// Fingerprint returns the checkpoint fingerprint a scanner built from
+// this config would carry, without building it: defaults are applied
+// and the config validated exactly as New does. A zero Seed is adopted
+// from Resume as in New, and otherwise stays zero here (New draws one
+// from the clock), so callers predicting fingerprints for other
+// processes must fix the seed.
+func (c Config) Fingerprint() (checkpoint.Fingerprint, error) {
+	c.setDefaults()
+	if err := c.Validate(); err != nil {
+		return checkpoint.Fingerprint{}, err
+	}
+	return c.fingerprint(), nil
+}
+
+// fingerprint pins every input that decides which (IP, port) the i-th
+// permutation element maps to. Resume verifies against it; the
+// checkpoint writer embeds it in every snapshot.
+func (c *Config) fingerprint() checkpoint.Fingerprint {
+	return checkpoint.Fingerprint{
+		Seed:            c.Seed,
+		Shards:          c.Shards,
+		ShardIndex:      c.ShardIndex,
+		Threads:         c.Threads,
+		ShardMode:       c.ShardMode.String(),
+		ProbeModule:     c.ProbeModule,
+		Ports:           c.Ports.String(),
+		ProbesPerTarget: c.ProbesPerTarget,
+		TargetsDigest:   c.Constraint.Digest(),
+	}
 }
 
 // healthEnabled reports whether the scan-health subsystem runs at all.
@@ -509,18 +543,10 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := cfg.Seed
-	if seed == 0 && cfg.Resume != nil {
-		// Zero means "derive from entropy", which can never match a
-		// checkpoint; adopt the original scan's seed instead. An explicit
-		// non-zero seed still must match (Verify below).
-		seed = cfg.Resume.Fingerprint.Seed
+	if cfg.Seed == 0 {
+		cfg.Seed = time.Now().UnixNano()
 	}
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	cfg.Seed = seed
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	cycle := cyclic.NewCycle(space.Group(), rng)
 
 	var key [validate.KeySize]byte
@@ -547,20 +573,7 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 		}
 	}
 
-	// The fingerprint pins every input that decides which (IP, port) the
-	// i-th permutation element maps to. Resume verifies against it; the
-	// checkpoint writer embeds it in every snapshot.
-	fp := checkpoint.Fingerprint{
-		Seed:            cfg.Seed,
-		Shards:          cfg.Shards,
-		ShardIndex:      cfg.ShardIndex,
-		Threads:         cfg.Threads,
-		ShardMode:       cfg.ShardMode.String(),
-		ProbeModule:     cfg.ProbeModule,
-		Ports:           cfg.Ports.String(),
-		ProbesPerTarget: cfg.ProbesPerTarget,
-		TargetsDigest:   cfg.Constraint.Digest(),
-	}
+	fp := cfg.fingerprint()
 	runs, firstStart, prevSecs := 1, time.Time{}, 0.0
 	if cfg.Resume != nil {
 		if err := cfg.Resume.Verify(fp); err != nil {
@@ -572,7 +585,6 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 			return nil, fmt.Errorf("core: checkpoint has progress for %d threads, fingerprint says %d",
 				len(cfg.Resume.Progress), cfg.Threads)
 		}
-		cfg.ResumeProgress = append([]uint64(nil), cfg.Resume.Progress...)
 		if d := cfg.Resume.Dedup; d != nil {
 			if dedupShards != nil {
 				keys, err := checkpoint.DecodeKeys(d.Keys)
@@ -617,7 +629,7 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 			Options:         cfg.OptionLayout,
 			RandomIPID:      cfg.RandomIPID,
 			TTL:             cfg.TTL,
-			TimestampValue:  uint32(seed),
+			TimestampValue:  uint32(cfg.Seed),
 		},
 	}
 	// Flight recorder: one ring shard per sender thread, one per
@@ -825,8 +837,8 @@ func (s *Scanner) Cycle() cyclic.Cycle { return s.cycle }
 func (s *Scanner) Counters() *monitor.Counters { return &s.counters }
 
 // Progress returns the per-thread count of permutation elements consumed
-// so far. Feed it back via Config.ResumeProgress (with an identical
-// configuration) to continue an interrupted scan without re-probing.
+// so far. Checkpoints persist it (Config.CheckpointPath); resuming one
+// through Config.Resume continues the scan without re-probing.
 func (s *Scanner) Progress() []uint64 {
 	out := make([]uint64, len(s.progress))
 	for i := range s.progress {
@@ -932,8 +944,8 @@ func (s *Scanner) Run(ctx context.Context) (*output.Metadata, error) {
 	order := s.space.Group().Order()
 	for t := 0; t < cfg.Threads; t++ {
 		base := shard.Plan(cfg.ShardMode, order, cfg.Shards, cfg.Threads, cfg.ShardIndex, t)
-		if cfg.ResumeProgress != nil {
-			done := cfg.ResumeProgress[t]
+		if cfg.Resume != nil {
+			done := cfg.Resume.Progress[t]
 			if done > base.Count {
 				done = base.Count
 			}
@@ -1056,8 +1068,9 @@ func (s *Scanner) Run(ctx context.Context) (*output.Metadata, error) {
 		"sent", meta.PacketsSent, "received", meta.PacketsRecv,
 		"successes", meta.UniqueSucc, "hitrate", meta.HitRate)
 	if n := abortedThreads.Load(); n > 0 {
-		// Metadata was still emitted and results closed: ThreadProgress
-		// in meta seeds a resumed scan over the uncovered remainder.
+		// Metadata was still emitted, results closed, and the final
+		// checkpoint (when configured) written: resuming it through
+		// Config.Resume scans the uncovered remainder.
 		return meta, fmt.Errorf("%w (%d of %d threads)", ErrSenderAborted, n, cfg.Threads)
 	}
 	return meta, nil

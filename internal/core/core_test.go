@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"zmapgo/internal/checkpoint"
 	"zmapgo/internal/dedup"
 	"zmapgo/internal/netsim"
 	"zmapgo/internal/output"
@@ -68,6 +70,24 @@ func testbed(t *testing.T, seed uint64, ports string) (netsimInternet *netsim.In
 		Results:      sink,
 	}
 	return in, cfg, sink
+}
+
+// withCheckpoint points cfg at a fresh checkpoint file, so the run
+// leaves the exact final snapshot a resume continues from.
+func withCheckpoint(t *testing.T, cfg *Config) {
+	t.Helper()
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "scan.ckpt")
+}
+
+// finalCheckpoint loads the snapshot a run configured through
+// withCheckpoint left behind.
+func finalCheckpoint(t *testing.T, cfg Config) *checkpoint.Snapshot {
+	t.Helper()
+	snap, err := checkpoint.Load(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // expectedHits counts loss-free SYN-ACK targets in the scanned range.
@@ -680,11 +700,12 @@ func TestSYNACKScanEndToEnd(t *testing.T) {
 }
 
 func TestResumeCoversExactlyOnce(t *testing.T) {
-	// Interrupt a scan partway, resume it from the reported progress, and
+	// Interrupt a scan partway, resume it from its final checkpoint, and
 	// verify the union of the two runs probes every target exactly once.
 	in, cfg, sink1 := testbed(t, 118, "80")
 	cfg.MaxTargets = 6000 // interrupt: ~6000 of 16384 targets
 	cfg.Threads = 4
+	withCheckpoint(t, &cfg)
 	link1 := netsim.NewLink(in, 1<<16, 0)
 	s1, err := New(cfg, link1)
 	if err != nil {
@@ -702,7 +723,7 @@ func TestResumeCoversExactlyOnce(t *testing.T) {
 	in2, cfg2, sink2 := testbed(t, 118, "80")
 	cfg2.Seed = cfg.Seed
 	cfg2.Threads = 4
-	cfg2.ResumeProgress = meta1.ThreadProgress
+	cfg2.Resume = finalCheckpoint(t, cfg)
 	link2 := netsim.NewLink(in2, 1<<16, 0)
 	defer link2.Close()
 	s2, err := New(cfg2, link2)
@@ -737,20 +758,77 @@ func TestResumeCoversExactlyOnce(t *testing.T) {
 }
 
 func TestResumeProgressValidation(t *testing.T) {
+	// A snapshot whose fingerprint matches but whose progress array
+	// does not fit the thread count is internally corrupt.
 	in, cfg, _ := testbed(t, 119, "80")
 	cfg.Threads = 4
-	cfg.ResumeProgress = []uint64{1, 2} // wrong length
+	fp, err := cfg.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = &checkpoint.Snapshot{Fingerprint: fp, Progress: []uint64{1, 2}}
 	link := netsim.NewLink(in, 16, 0)
 	defer link.Close()
 	if _, err := New(cfg, link); err == nil {
-		t.Error("mismatched ResumeProgress length accepted")
+		t.Error("mismatched resume progress length accepted")
+	}
+}
+
+// TestNonPositiveCountsRejected: zero thread and probe counts take the
+// default of 1, but negative ones are configuration errors that New and
+// Fingerprint report instead of panicking or silently sending nothing.
+func TestNonPositiveCountsRejected(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"threads=-1", func(c *Config) { c.Threads = -1 }},
+		{"threads=-64", func(c *Config) { c.Threads = -64 }},
+		{"probes=-1", func(c *Config) { c.ProbesPerTarget = -1 }},
+		{"both", func(c *Config) { c.Threads, c.ProbesPerTarget = -2, -3 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			in, cfg, _ := testbed(t, 121, "80")
+			tc.mutate(&cfg)
+			link := netsim.NewLink(in, 16, 0)
+			defer link.Close()
+			if _, err := New(cfg, link); err == nil {
+				t.Error("New accepted the config")
+			}
+			if _, err := cfg.Fingerprint(); err == nil {
+				t.Error("Fingerprint accepted the config")
+			}
+		})
+	}
+
+	// Control: zero still means the default of 1.
+	in, cfg, _ := testbed(t, 121, "80")
+	cfg.Threads, cfg.ProbesPerTarget = 0, 0
+	link := netsim.NewLink(in, 16, 0)
+	defer link.Close()
+	s, err := New(cfg, link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp := s.Fingerprint(); fp.Threads != 1 || fp.ProbesPerTarget != 1 {
+		t.Fatalf("zero counts not defaulted to 1: %+v", fp)
 	}
 }
 
 func TestResumeBeyondEndIsEmpty(t *testing.T) {
 	in, cfg, _ := testbed(t, 120, "80")
 	cfg.Threads = 1
-	cfg.ResumeProgress = []uint64{1 << 40} // past the end
+	fp, err := cfg.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = &checkpoint.Snapshot{Fingerprint: fp, Progress: []uint64{1 << 40}} // past the end
 	link := netsim.NewLink(in, 1<<12, 0)
 	defer link.Close()
 	s, err := New(cfg, link)

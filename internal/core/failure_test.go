@@ -266,6 +266,7 @@ func TestScanFatalMidScanAbortsCleanlyAndResumes(t *testing.T) {
 	// full coverage on a healthy transport.
 	in, cfg, sink1 := testbed(t, 212, "80")
 	cfg.Clock = &lockedClock{now: time.Unix(0, 0)}
+	withCheckpoint(t, &cfg)
 	link1 := netsim.NewLink(in, 1<<16, 0)
 	// FatalAfter below the ~4096-element per-thread subshard, so no
 	// thread can finish before the wall and all four must abort.
@@ -296,10 +297,11 @@ func TestScanFatalMidScanAbortsCleanlyAndResumes(t *testing.T) {
 		t.Fatalf("thread progress %v", meta1.ThreadProgress)
 	}
 
-	// Resume on a healthy link: the union must cover every target once.
+	// Resume the checkpoint the aborted run still wrote, on a healthy
+	// link: the union must cover every target once.
 	in2, cfg2, sink2 := testbed(t, 212, "80")
 	cfg2.Seed = cfg.Seed
-	cfg2.ResumeProgress = meta1.ThreadProgress
+	cfg2.Resume = finalCheckpoint(t, cfg)
 	link2 := netsim.NewLink(in2, 1<<16, 0)
 	defer link2.Close()
 	s2, err := New(cfg2, link2)
@@ -329,6 +331,7 @@ func TestScanStalledTransportHonorsMaxRuntime(t *testing.T) {
 	// MaxRuntime bounds the sending phase and progress stays resumable.
 	in, cfg, _ := testbed(t, 213, "80")
 	cfg.MaxRuntime = 250 * time.Millisecond
+	withCheckpoint(t, &cfg)
 	link := netsim.NewLink(in, 1<<16, 0)
 	faulty := netsim.NewFaultyTransport(link, netsim.FaultConfig{
 		StallEvery: 1,
@@ -354,7 +357,7 @@ func TestScanStalledTransportHonorsMaxRuntime(t *testing.T) {
 	// The partial progress must resume to exact full coverage.
 	in2, cfg2, _ := testbed(t, 213, "80")
 	cfg2.Seed = cfg.Seed
-	cfg2.ResumeProgress = meta.ThreadProgress
+	cfg2.Resume = finalCheckpoint(t, cfg)
 	link2 := netsim.NewLink(in2, 1<<16, 0)
 	defer link2.Close()
 	s2, err := New(cfg2, link2)

@@ -8,8 +8,9 @@ import (
 
 // ErrSenderAborted is returned (wrapped) by Run when one or more sender
 // threads exhausted their restart budget on fatal transport errors. The
-// scan still completes its cooldown, emits metadata, and closes the
-// results stream, so the reported ThreadProgress can seed a resumed run.
+// scan still completes its cooldown, writes its final exact checkpoint
+// (when Config.CheckpointPath is set), emits metadata, and closes the
+// results stream, so resuming that checkpoint finishes the scan.
 var ErrSenderAborted = errors.New("core: sender aborted after fatal transport error")
 
 // transientError is the structural contract a transport error can

@@ -33,10 +33,6 @@ var ErrRespawnsExhausted = errors.New("fleet: respawn budget exhausted")
 
 // Config drives one fleet run.
 type Config struct {
-	// Workers is the shard count: the scan is split into this many
-	// pizza shards, one worker process each.
-	Workers int
-
 	// Dir is the fleet state directory; each shard gets a
 	// subdirectory holding its spec, lease, checkpoint, rate file, and
 	// per-epoch output/metadata runs.
@@ -49,9 +45,20 @@ type Config struct {
 	Binary string
 	Args   []string
 
-	// Scan is the shared scan configuration. Scan.Seed must be
-	// non-zero.
-	Scan ScanSpec
+	// Scan is the shared scan payload, handed to every worker verbatim
+	// (WorkerSpec.Scan) and recorded in Result.Scan. The coordinator
+	// never interprets it; zmap.RunFleet encodes a zmap.Options there.
+	Scan json.RawMessage
+
+	// Format is the scan's output format (text|csv|jsonl), which names
+	// the per-shard run files and drives the merge.
+	Format string
+
+	// Fingerprints is each shard's expected checkpoint fingerprint; its
+	// length is the worker count. A reclaimed shard's durable state is
+	// adopted only when it matches its slot's entry. Every seed must be
+	// non-zero: all workers must derive the same permutation.
+	Fingerprints []checkpoint.Fingerprint
 
 	// RateBudget is the aggregate probes/sec across the whole fleet
 	// (0 = unlimited, no redistribution). Live workers share it
@@ -132,9 +139,9 @@ type ShardResult struct {
 // metadata plus the coordinator's own supervision and merge accounting.
 // It is also the document written to Config.MetadataPath.
 type Result struct {
-	FleetID string   `json:"fleet_id"`
-	Workers int      `json:"workers"`
-	Scan    ScanSpec `json:"scan"`
+	FleetID string          `json:"fleet_id"`
+	Workers int             `json:"workers"`
+	Scan    json.RawMessage `json:"scan"`
 
 	StartTime    time.Time `json:"start_time"`
 	EndTime      time.Time `json:"end_time"`
@@ -222,14 +229,16 @@ type supervisor struct {
 }
 
 func (c *Config) applyDefaults() error {
-	if c.Workers <= 0 {
-		return fmt.Errorf("fleet: need at least 1 worker, have %d", c.Workers)
+	if len(c.Fingerprints) == 0 {
+		return errors.New("fleet: need at least 1 worker (shard fingerprint)")
+	}
+	for i, fp := range c.Fingerprints {
+		if fp.Seed == 0 {
+			return fmt.Errorf("fleet: shard %d has seed 0 (every worker must derive the same permutation)", i)
+		}
 	}
 	if c.Dir == "" {
 		return errors.New("fleet: Config.Dir is required")
-	}
-	if c.Scan.Seed == 0 {
-		return errors.New("fleet: Scan.Seed must be non-zero (every worker must derive the same permutation)")
 	}
 	if c.Binary == "" {
 		exe, err := os.Executable()
@@ -271,7 +280,7 @@ func (c *Config) applyDefaults() error {
 		}
 	}
 	if c.MergedOutput == "" {
-		c.MergedOutput = filepath.Join(c.Dir, "merged."+outputExt(c.Scan.Format))
+		c.MergedOutput = filepath.Join(c.Dir, "merged."+outputExt(c.Format))
 	}
 	if c.MetadataPath == "" {
 		c.MetadataPath = filepath.Join(c.Dir, "fleet-metadata.json")
@@ -293,14 +302,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	fps, err := cfg.Scan.Fingerprints(cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
+	workers := len(cfg.Fingerprints)
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		if err := os.MkdirAll(ShardDir(cfg.Dir, i), 0o755); err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
@@ -317,8 +323,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		plane:   cfg.Plane,
 		start:   time.Now(),
 		fleetID: fmt.Sprintf("fleet-%d-%d", os.Getpid(), time.Now().UnixNano()),
-		fps:     fps,
-		alive:   make([]bool, cfg.Workers),
+		fps:     cfg.Fingerprints,
+		alive:   make([]bool, workers),
 		workersAlive: reg.Gauge("zmapgo_fleet_workers_alive",
 			"Worker processes currently holding a fresh lease."),
 		faultsM: map[FaultKind]*metrics.Counter{},
@@ -327,7 +333,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		c.faultsM[k] = reg.CounterWith("zmapgo_fleet_faults_injected_total",
 			"Chaos faults injected into workers, by kind.", "kind", string(k))
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		lbl := strconv.Itoa(i)
 		c.workerUp = append(c.workerUp, reg.GaugeWith("zmapgo_fleet_worker_up",
 			"1 while the shard's worker process is supervised as live.", "shard", lbl))
@@ -340,13 +346,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	c.journal(trace.JEntry{Kind: trace.JFleetStart, Name: c.fleetID,
 		Detail: fmt.Sprintf("workers=%d seed=%d budget=%.0fpps ttl=%s plane=%s",
-			cfg.Workers, cfg.Scan.Seed, cfg.RateBudget, cfg.LeaseTTL, c.plane.Name())})
+			workers, cfg.Fingerprints[0].Seed, cfg.RateBudget, cfg.LeaseTTL, c.plane.Name())})
 	defer c.dumpTrace()
 
 	if err := c.plane.Start(PlaneInfo{
 		Dir:      cfg.Dir,
-		Workers:  cfg.Workers,
-		Format:   cfg.Scan.Format,
+		Workers:  workers,
+		Format:   cfg.Format,
 		FleetID:  c.fleetID,
 		LeaseTTL: cfg.LeaseTTL,
 		Journal:  c.journal,
@@ -370,7 +376,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	defer cancel()
 
 	var wg sync.WaitGroup
-	errs := make([]error, cfg.Workers)
+	errs := make([]error, workers)
 	for i := range c.sups {
 		wg.Add(1)
 		go func(i int) {
@@ -404,7 +410,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 // merge unions the per-shard run files and builds the fleet Result.
 func (c *coordinator) merge(reg *metrics.Registry) (*Result, error) {
-	files, err := RunFiles(c.cfg.Dir, c.cfg.Workers, c.cfg.Scan.Format)
+	files, err := RunFiles(c.cfg.Dir, len(c.fps), c.cfg.Format)
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +418,7 @@ func (c *coordinator) merge(reg *metrics.Registry) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: merged output: %w", err)
 	}
-	stats, merr := MergeOutputs(c.cfg.Scan.Format, files, out)
+	stats, merr := MergeOutputs(c.cfg.Format, files, out)
 	if cerr := out.Close(); merr == nil {
 		merr = cerr
 	}
@@ -430,7 +436,7 @@ func (c *coordinator) merge(reg *metrics.Registry) (*Result, error) {
 	end := time.Now()
 	res := &Result{
 		FleetID:      c.fleetID,
-		Workers:      c.cfg.Workers,
+		Workers:      len(c.fps),
 		Scan:         c.cfg.Scan,
 		StartTime:    c.start,
 		EndTime:      end,
@@ -536,7 +542,7 @@ func (c *coordinator) reallocateLocked(reason string) (share float64, alive int)
 			continue
 		}
 		c.rateAlloc[i].Set(share)
-		path := PathsFor(c.cfg.Dir, i, 1, c.cfg.Scan.Format).Rate
+		path := PathsFor(c.cfg.Dir, i, 1, c.cfg.Format).Rate
 		if err := writeRateFileRetry(path, share); err != nil {
 			// A silently lost write here would strand part of the fleet
 			// budget: a dead worker's slice never reaches the survivors
@@ -654,7 +660,7 @@ func (c *coordinator) injectFaults(ctx context.Context) {
 
 // leasePathFor is the epoch-independent lease location of a shard.
 func (c *coordinator) leasePathFor(shard int) string {
-	return PathsFor(c.cfg.Dir, shard, 1, c.cfg.Scan.Format).Lease
+	return PathsFor(c.cfg.Dir, shard, 1, c.cfg.Format).Lease
 }
 
 // run supervises one shard to completion: adopt or spawn, monitor the
@@ -664,7 +670,7 @@ func (s *supervisor) run(ctx context.Context) error {
 	epoch := 0
 	backoff := c.cfg.RespawnBackoff
 
-	paths1 := PathsFor(c.cfg.Dir, s.shard, 1, c.cfg.Scan.Format)
+	paths1 := PathsFor(c.cfg.Dir, s.shard, 1, c.cfg.Format)
 
 	// Pre-existing durable state: a lease left by a previous
 	// coordinator (or a crashed one). Adopt, skip, or reclaim it.
@@ -673,7 +679,7 @@ func (s *supervisor) run(ctx context.Context) error {
 			return fmt.Errorf("fleet: shard %d lease belongs to a different scan: %w", s.shard, verr)
 		}
 		epoch = l.Epoch
-		donePaths := PathsFor(c.cfg.Dir, s.shard, l.Epoch, c.cfg.Scan.Format)
+		donePaths := PathsFor(c.cfg.Dir, s.shard, l.Epoch, c.cfg.Format)
 		switch {
 		case fileExists(donePaths.Metadata):
 			// Shard finished under a previous coordinator. The metadata
@@ -789,14 +795,13 @@ func (s *supervisor) noteReclaim(ctx context.Context, out outcome, backoff *time
 // context); failures the reclaim loop handles come back as outcomes.
 func (s *supervisor) runEpoch(ctx context.Context, epoch int, resume bool) (outcome, error) {
 	c := s.c
-	paths := PathsFor(c.cfg.Dir, s.shard, epoch, c.cfg.Scan.Format)
+	paths := PathsFor(c.cfg.Dir, s.shard, epoch, c.cfg.Format)
 	spec := &WorkerSpec{
 		FleetID:            c.fleetID,
 		Shard:              s.shard,
-		Shards:             c.cfg.Workers,
+		Shards:             len(c.fps),
 		Epoch:              epoch,
 		Scan:               c.cfg.Scan,
-		RatePPS:            c.cfg.RateBudget,
 		Resume:             resume,
 		Paths:              paths,
 		LeaseTTL:           c.cfg.LeaseTTL,

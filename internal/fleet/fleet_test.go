@@ -180,30 +180,14 @@ func TestMergeCSVAndJSONL(t *testing.T) {
 	}
 }
 
-// TestScanSpecFingerprints: the coordinator's expected fingerprints
-// must mirror the engine's defaulting (probe, ports, threads), and
-// differ across shard slots.
-func TestScanSpecFingerprints(t *testing.T) {
-	spec := ScanSpec{Ranges: []string{"10.0.0.0/16"}, Seed: 7}
-	fps, err := spec.Fingerprints(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fps) != 3 {
-		t.Fatalf("got %d fingerprints", len(fps))
-	}
-	fp := fps[1]
-	if fp.ProbeModule != "tcp_synscan" || fp.Ports != "80" || fp.Threads != 1 ||
-		fp.ProbesPerTarget != 1 || fp.ShardMode != "pizza" {
-		t.Fatalf("defaults not mirrored: %+v", fp)
-	}
-	if fp.ShardIndex != 1 || fp.Shards != 3 || fp.Seed != 7 {
-		t.Fatalf("slot identity wrong: %+v", fp)
-	}
-	if fps[0].TargetsDigest == "" || fps[0].TargetsDigest != fps[2].TargetsDigest {
-		t.Fatalf("digest should be shared and non-empty: %q vs %q",
-			fps[0].TargetsDigest, fps[2].TargetsDigest)
-	}
+// slotFingerprint is a one-shard fleet's expected fingerprint. The
+// coordinator compares fingerprints and never computes them (zmap's
+// TestFleetFingerprintsMatchCompile pins the computation), so a literal
+// serves.
+var slotFingerprint = checkpoint.Fingerprint{
+	Seed: 11, Shards: 1, ShardIndex: 0, Threads: 1, ShardMode: "pizza",
+	ProbeModule: "tcp_synscan", Ports: "80", ProbesPerTarget: 1,
+	TargetsDigest: "a1e4d2c0b3f5968778695a4b3c2d1e0f",
 }
 
 // TestShardHandoffFingerprintGate is the satellite-3 contract at the
@@ -212,11 +196,7 @@ func TestScanSpecFingerprints(t *testing.T) {
 // expected slot fingerprint; any drift hard-fails the fleet with
 // ErrFingerprintMismatch before a worker is ever spawned.
 func TestShardHandoffFingerprintGate(t *testing.T) {
-	spec := ScanSpec{Ranges: []string{"10.9.0.0/24"}, Seed: 11}
-	fps, err := spec.Fingerprints(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fps := []checkpoint.Fingerprint{slotFingerprint}
 
 	mutations := map[string]func(*checkpoint.Fingerprint){
 		"seed":   func(f *checkpoint.Fingerprint) { f.Seed = 999 },
@@ -242,7 +222,7 @@ func TestShardHandoffFingerprintGate(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err := Run(context.Background(), Config{
-				Workers: 1, Dir: dir, Scan: spec,
+				Dir: dir, Fingerprints: fps,
 				Binary: "/bin/false", // must never be reached
 			})
 			if !errors.Is(err, ErrFingerprintMismatch) {
@@ -265,8 +245,8 @@ func TestShardHandoffFingerprintGate(t *testing.T) {
 	if err := checkpoint.Save(paths.Checkpoint, snap); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(context.Background(), Config{
-		Workers: 1, Dir: dir, Scan: spec,
+	_, err := Run(context.Background(), Config{
+		Dir: dir, Fingerprints: fps,
 		Binary:         "/bin/false",
 		MaxRespawns:    -1, // first crash is fatal: keeps the test fast
 		RespawnBackoff: time.Millisecond,
@@ -296,14 +276,29 @@ func TestRateFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestZeroSeedRejected: a zero seed means "derive from the clock", so
+// every worker would walk a different permutation; the coordinator
+// refuses it before touching the fleet directory.
+func TestZeroSeedRejected(t *testing.T) {
+	second := slotFingerprint
+	second.Seed = 0
+	dir := filepath.Join(t.TempDir(), "fleet")
+	_, err := Run(context.Background(), Config{
+		Dir: dir, Fingerprints: []checkpoint.Fingerprint{slotFingerprint, second},
+		Binary: "/bin/false",
+	})
+	if err == nil || !strings.Contains(err.Error(), "seed 0") {
+		t.Fatalf("zero seed accepted: %v", err)
+	}
+	if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+		t.Fatalf("fleet dir created despite the config error: %v", statErr)
+	}
+}
+
 // TestLeaseGateRejectsForeignLease: a lease file from a different scan
 // configuration stops the fleet before any supervision starts.
 func TestLeaseGateRejectsForeignLease(t *testing.T) {
-	spec := ScanSpec{Ranges: []string{"10.9.0.0/24"}, Seed: 11}
-	fps, err := spec.Fingerprints(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fps := []checkpoint.Fingerprint{slotFingerprint}
 	dir := t.TempDir()
 	paths := PathsFor(dir, 0, 1, "text")
 	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
@@ -320,8 +315,8 @@ func TestLeaseGateRejectsForeignLease(t *testing.T) {
 	if err := checkpoint.SaveLease(paths.Lease, lease); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(context.Background(), Config{
-		Workers: 1, Dir: dir, Scan: spec, Binary: "/bin/false",
+	_, err := Run(context.Background(), Config{
+		Dir: dir, Fingerprints: fps, Binary: "/bin/false",
 	})
 	if !errors.Is(err, ErrFingerprintMismatch) {
 		t.Fatalf("foreign lease accepted: %v", err)

@@ -153,9 +153,13 @@ func newClient(baseURL, token string, shard, epoch int, logger *slog.Logger) *Cl
 	}
 }
 
-// adoptSpec finishes construction once the grant is known: size the
-// per-RPC timeout off the lease TTL and lay out the local spool.
+// adoptSpec finishes construction once the grant is known: validate it
+// as fleet.LoadWorkerSpec would, size the per-RPC timeout off the lease
+// TTL, and lay out the local spool.
 func (c *Client) adoptSpec(spec *fleet.WorkerSpec) error {
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("fleetnet: grant: %w", err)
+	}
 	c.spec = spec
 	if ttl := spec.LeaseTTL; ttl > 0 {
 		t := ttl / 2

@@ -2,6 +2,7 @@ package fleetnet
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -60,33 +62,37 @@ func newTestServer(t *testing.T, token string) (*Server, *journalSink, string) {
 	return srv, js, dir
 }
 
+// testFingerprint is the granted shard's expected fingerprint. The
+// server stores and compares fingerprints but never computes them, so
+// a literal serves.
+var testFingerprint = checkpoint.Fingerprint{
+	Seed: 5, Shards: 1, ShardIndex: 0, Threads: 1, ShardMode: "pizza",
+	ProbeModule: "tcp_synscan", Ports: "80", ProbesPerTarget: 1,
+	TargetsDigest: "5f0c2a9d8e7b6a5948372615f4e3d2c1",
+}
+
 // grantShard grants (shard 0, epoch) on the server exactly like the
 // coordinator would, returning the spec and its fingerprint.
 func grantShard(t *testing.T, srv *Server, dir string, epoch int) (*fleet.WorkerSpec, checkpoint.Fingerprint) {
 	t.Helper()
-	scan := fleet.ScanSpec{Ranges: []string{"10.9.0.0/28"}, Seed: 5, Format: "text", SimSeed: 1}
-	fps, err := scan.Fingerprints(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	paths := fleet.PathsFor(dir, 0, epoch, "text")
 	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	spec := &fleet.WorkerSpec{
 		FleetID: "net-test", Shard: 0, Shards: 1, Epoch: epoch,
-		Scan: scan, Paths: paths, LeaseTTL: time.Second,
+		Scan: json.RawMessage(`{"ranges":["10.9.0.0/28"],"seed":5}`), Paths: paths, LeaseTTL: time.Second,
 	}
 	now := time.Now()
 	lease := &checkpoint.Lease{
 		FleetID: "net-test", ShardIndex: 0, Epoch: epoch,
 		WorkerID: spec.WorkerID(), State: checkpoint.LeaseGranted,
-		GrantedAt: now, RenewedAt: now, TTLSecs: 5, Fingerprint: fps[0],
+		GrantedAt: now, RenewedAt: now, TTLSecs: 5, Fingerprint: testFingerprint,
 	}
 	if err := srv.Grant(spec, lease); err != nil {
 		t.Fatal(err)
 	}
-	return spec, fps[0]
+	return spec, testFingerprint
 }
 
 // postChunk uploads one result chunk and returns the HTTP status plus
@@ -371,5 +377,44 @@ func TestServerRejectsBadToken(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("authed RPC answered %d", resp.StatusCode)
+	}
+}
+
+// TestAcquireValidatesGrant: a network worker checks its grant exactly
+// as a filesystem worker checks its spec file — a spec in another
+// schema version, or naming a shard outside the fleet, is refused
+// before any spool is laid out or scan started.
+func TestAcquireValidatesGrant(t *testing.T) {
+	cases := []struct {
+		name  string
+		spec  fleet.WorkerSpec
+		valid bool
+	}{
+		{"current", fleet.WorkerSpec{FormatVersion: fleet.SpecFormatVersion, Shard: 1, Shards: 2}, true},
+		{"format_v1", fleet.WorkerSpec{FormatVersion: 1, Shard: 0, Shards: 2}, false},
+		{"shard_past_end", fleet.WorkerSpec{FormatVersion: fleet.SpecFormatVersion, Shard: 2, Shards: 2}, false},
+		{"negative_shard", fleet.WorkerSpec{FormatVersion: fleet.SpecFormatVersion, Shard: -1, Shards: 2}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != pathAcquire {
+					http.NotFound(w, r)
+					return
+				}
+				json.NewEncoder(w).Encode(tc.spec)
+			}))
+			defer ts.Close()
+			c, err := Acquire(context.Background(), ts.URL, "", time.Second, nil)
+			if c != nil {
+				defer c.Close()
+			}
+			if tc.valid && err != nil {
+				t.Fatalf("valid grant refused: %v", err)
+			}
+			if !tc.valid && err == nil {
+				t.Fatalf("invalid grant %+v accepted", tc.spec)
+			}
+		})
 	}
 }

@@ -167,7 +167,7 @@ type Config struct {
 	ParoleReleaseRatio float64
 
 	// Logger receives controller decisions; nil discards them.
-	Logger *slog.Logger
+	Logger *slog.Logger `json:"-"`
 }
 
 func (c *Config) setDefaults() {

@@ -29,6 +29,13 @@ go test -race ./...
 echo "==> checkpoint round-trip (interrupt, resume, exactly-once)"
 go test -race -count=1 -run 'TestCLISigintCheckpointResume|TestCheckpointResumeExactlyOnce' \
     ./cmd/zmapgo ./internal/core
+go test -race -count=1 -run 'TestCLICheckpointResumeAfterCap|TestCLIFatalTransportSavesResumableState' \
+    ./cmd/zmapgo
+
+echo "==> one scan config: fleet fingerprints computed by the engine, Options round-trips as JSON"
+go test -race -count=1 \
+    -run 'TestFleetFingerprintsMatchCompile|TestOptionsJSONRoundTrip|TestShardHandoffFingerprintGate|TestLeaseGateRejectsForeignLease' \
+    ./zmap ./internal/fleet
 
 echo "==> batched send loop vs faulty transport (batch-size sweep)"
 go test -race -count=1 -run 'TestScanBatchedFaultyTransport' ./internal/core

@@ -2,10 +2,13 @@ package zmap
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"log/slog"
 	"os"
 	"time"
 
+	"zmapgo/internal/checkpoint"
 	"zmapgo/internal/fleet"
 	"zmapgo/internal/fleetnet"
 )
@@ -55,29 +58,14 @@ type FleetOptions struct {
 	// binary, which must call FleetWorkerMain at the top of main().
 	Binary string
 
-	// Scan shape (the zmap.Options subset a fleet distributes).
-	// Seed is required and must be non-zero: every worker derives the
-	// same target permutation from it, which is what makes the pizza
-	// shards a disjoint cover of the space.
-	Ranges          []string
-	Blocklist       []string
-	Ports           string
-	Probe           string
-	Seed            int64
-	Threads         int // sender threads per worker
-	BatchSize       int
-	ProbesPerTarget int
-	DedupWindow     int
-	Cooldown        time.Duration
-	CooldownMax     time.Duration
-	MaxRuntime      time.Duration
-	Format          string
-	Filter          string
-
-	// Rate is the aggregate fleet budget in probes/sec (0 =
-	// unlimited). Live workers share it equally; a dead worker's
-	// slice moves to the survivors until its shard respawns.
-	Rate float64
+	// Scan is the scan every worker runs, shipped to each as JSON: any
+	// field rides along except the process-local json:"-" handles
+	// (BlocklistFile and Resume are refused). Each worker sets its own
+	// shard, output streams and checkpoint. Scan.Seed must be non-zero
+	// so every worker derives the same permutation; Threads is per
+	// worker; the compiled rate (Rate or Bandwidth) is the aggregate
+	// budget, shared equally by live workers (0 = unlimited).
+	Scan Options
 
 	// Simulated Internet shared by all workers (the population is a
 	// pure function of SimSeed, so every process sees the same hosts).
@@ -88,7 +76,8 @@ type FleetOptions struct {
 
 	// Supervision knobs; zero values take the fleet defaults
 	// (2s lease TTL, TTL/4 heartbeat, 500ms checkpoints, 5 respawns,
-	// 100ms initial backoff doubling to 2s).
+	// 100ms initial backoff doubling to 2s). CheckpointInterval
+	// overrides Scan.CheckpointInterval.
 	LeaseTTL           time.Duration
 	HeartbeatInterval  time.Duration
 	CheckpointInterval time.Duration
@@ -151,9 +140,26 @@ func RunFleet(ctx context.Context, o FleetOptions) (*FleetResult, error) {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
+	if o.Scan.BlocklistFile != nil || o.Scan.Resume != nil {
+		return nil, errors.New("zmap: fleet scans cannot ship Scan.BlocklistFile or Scan.Resume to workers " +
+			"(list CIDRs in Scan.Blocklist; re-run over the same Dir to resume)")
+	}
+	fps, rate, err := fleetFingerprints(o.Scan, o.Workers)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := json.Marshal(fleetScan{
+		Options:            o.Scan,
+		SimSeed:            o.SimSeed,
+		SimLossless:        o.SimLossless,
+		SimDisableBlowback: o.SimDisableBlowback,
+		SimTimeScale:       o.SimTimeScale,
+	})
+	if err != nil {
+		return nil, err
+	}
 	dir := o.Dir
 	if dir == "" {
-		var err error
 		if dir, err = os.MkdirTemp("", "zmapgo-fleet-"); err != nil {
 			return nil, err
 		}
@@ -167,32 +173,14 @@ func RunFleet(ctx context.Context, o FleetOptions) (*FleetResult, error) {
 			OnListen:  o.OnListen,
 		})
 	}
-	cfg := fleet.Config{
-		Workers: o.Workers,
-		Dir:     dir,
-		Binary:  o.Binary,
-		Plane:   plane,
-		Scan: fleet.ScanSpec{
-			Ranges:             o.Ranges,
-			Blocklist:          o.Blocklist,
-			Ports:              o.Ports,
-			Probe:              o.Probe,
-			Seed:               o.Seed,
-			Threads:            o.Threads,
-			BatchSize:          o.BatchSize,
-			ProbesPerTarget:    o.ProbesPerTarget,
-			DedupWindow:        o.DedupWindow,
-			Cooldown:           o.Cooldown,
-			CooldownMax:        o.CooldownMax,
-			MaxRuntime:         o.MaxRuntime,
-			Format:             o.Format,
-			Filter:             o.Filter,
-			SimSeed:            o.SimSeed,
-			SimLossless:        o.SimLossless,
-			SimDisableBlowback: o.SimDisableBlowback,
-			SimTimeScale:       o.SimTimeScale,
-		},
-		RateBudget:         o.Rate,
+	return fleet.Run(ctx, fleet.Config{
+		Dir:                dir,
+		Binary:             o.Binary,
+		Plane:              plane,
+		Scan:               payload,
+		Format:             o.Scan.Format,
+		Fingerprints:       fps,
+		RateBudget:         rate,
 		LeaseTTL:           o.LeaseTTL,
 		HeartbeatInterval:  o.HeartbeatInterval,
 		CheckpointInterval: o.CheckpointInterval,
@@ -207,6 +195,39 @@ func RunFleet(ctx context.Context, o FleetOptions) (*FleetResult, error) {
 		TracePath:          o.TracePath,
 		Metrics:            o.Metrics,
 		Logger:             o.Logger,
+	})
+}
+
+// fleetScan is the scan payload every worker of a fleet receives: the
+// full Options plus the simulated Internet they all share (the
+// population is a pure function of SimSeed, so every process observes
+// the same hosts).
+type fleetScan struct {
+	Options
+	SimSeed            uint64  `json:"sim_seed"`
+	SimLossless        bool    `json:"sim_lossless,omitempty"`
+	SimDisableBlowback bool    `json:"sim_disable_blowback,omitempty"`
+	SimTimeScale       float64 `json:"sim_time_scale,omitempty"`
+}
+
+// fleetFingerprints predicts each shard's checkpoint fingerprint with
+// the code its worker runs (Options.config, then
+// core.Config.Fingerprint), so a reclaimed shard's checkpoint is judged
+// by the engine's own defaults. It also returns the scan's compiled
+// rate, the fleet's aggregate budget.
+func fleetFingerprints(scan Options, workers int) ([]checkpoint.Fingerprint, float64, error) {
+	fps := make([]checkpoint.Fingerprint, workers)
+	var rate float64
+	for i := range fps {
+		scan.Shards, scan.ShardIndex = workers, i
+		cfg, err := scan.config()
+		if err != nil {
+			return nil, 0, err
+		}
+		if fps[i], err = cfg.Fingerprint(); err != nil {
+			return nil, 0, err
+		}
+		rate = cfg.Rate
 	}
-	return fleet.Run(ctx, cfg)
+	return fps, rate, nil
 }

@@ -3,6 +3,7 @@ package zmap
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +14,8 @@ import (
 
 	"zmapgo/internal/checkpoint"
 	"zmapgo/internal/fleet"
+	"zmapgo/internal/packet"
+	"zmapgo/internal/ratelimit"
 	"zmapgo/internal/target"
 	"zmapgo/internal/trace"
 )
@@ -106,12 +109,14 @@ func countJournal(entries []trace.JEntry, kind string) int {
 // fleetOpts is the shared configuration for the acceptance runs.
 func fleetOpts(dir string, ranges []string) FleetOptions {
 	return FleetOptions{
-		Workers:            3,
-		Dir:                dir,
-		Ranges:             ranges,
-		Seed:               77,
-		Rate:               15000, // aggregate: 5000 pps per live worker
-		Cooldown:           200 * time.Millisecond,
+		Workers: 3,
+		Dir:     dir,
+		Scan: Options{
+			Ranges:   ranges,
+			Seed:     77,
+			Rate:     15000, // aggregate: 5000 pps per live worker
+			Cooldown: 200 * time.Millisecond,
+		},
 		SimSeed:            fleetSimSeed,
 		SimLossless:        true,
 		SimDisableBlowback: true,
@@ -253,12 +258,14 @@ func TestFleetSlowWorkerNotReclaimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := RunFleet(context.Background(), FleetOptions{
-		Workers:            1,
-		Dir:                dir,
-		Ranges:             []string{"10.2.0.0/20"}, // 4096 addrs
-		Seed:               31,
-		Rate:               4000,
-		Cooldown:           150 * time.Millisecond,
+		Workers: 1,
+		Dir:     dir,
+		Scan: Options{
+			Ranges:   []string{"10.2.0.0/20"}, // 4096 addrs
+			Seed:     31,
+			Rate:     4000,
+			Cooldown: 150 * time.Millisecond,
+		},
 		SimSeed:            fleetSimSeed,
 		SimLossless:        true,
 		SimDisableBlowback: true,
@@ -296,11 +303,13 @@ func TestFleetRerunAdoptsFinishedShards(t *testing.T) {
 	}
 	dir := t.TempDir()
 	opts := FleetOptions{
-		Workers:            2,
-		Dir:                dir,
-		Ranges:             []string{"10.3.0.0/22"}, // 1024 addrs, fast
-		Seed:               13,
-		Cooldown:           100 * time.Millisecond,
+		Workers: 2,
+		Dir:     dir,
+		Scan: Options{
+			Ranges:   []string{"10.3.0.0/22"}, // 1024 addrs, fast
+			Seed:     13,
+			Cooldown: 100 * time.Millisecond,
+		},
 		SimSeed:            fleetSimSeed,
 		SimLossless:        true,
 		SimDisableBlowback: true,
@@ -349,32 +358,44 @@ func TestFleetRerunAdoptsFinishedShards(t *testing.T) {
 // runFleetWorker tests (no processes involved).
 func workerSpecFixture(t *testing.T, dir string, epoch int) (*fleet.WorkerSpec, checkpoint.Fingerprint) {
 	t.Helper()
-	scan := fleet.ScanSpec{
-		Ranges:       []string{"10.4.0.0/26"},
-		Seed:         19,
-		Cooldown:     50 * time.Millisecond,
-		SimSeed:      fleetSimSeed,
-		SimLossless:  true,
-		SimTimeScale: 0,
-	}
-	fps, err := scan.Fingerprints(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload, fp := workerScan(t, fleetScan{
+		Options: Options{
+			Ranges:   []string{"10.4.0.0/26"},
+			Seed:     19,
+			Cooldown: 50 * time.Millisecond,
+		},
+		SimSeed:     fleetSimSeed,
+		SimLossless: true,
+	})
 	paths := fleet.PathsFor(dir, 0, epoch, "text")
 	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	spec := &fleet.WorkerSpec{
 		FleetID: "test-fleet", Shard: 0, Shards: 1, Epoch: epoch,
-		Scan: scan, Paths: paths,
+		Scan: payload, Paths: paths,
 		CheckpointInterval: 100 * time.Millisecond,
 		HeartbeatInterval:  100 * time.Millisecond,
 	}
 	if err := fleet.SaveWorkerSpec(paths.Spec, spec); err != nil {
 		t.Fatal(err)
 	}
-	return spec, fps[0]
+	return spec, fp
+}
+
+// workerScan encodes a one-shard fleet's payload and predicts its
+// fingerprint, exactly as RunFleet does.
+func workerScan(t *testing.T, scan fleetScan) (json.RawMessage, checkpoint.Fingerprint) {
+	t.Helper()
+	fps, _, err := fleetFingerprints(scan.Options, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload, fps[0]
 }
 
 func writeLease(t *testing.T, path string, epoch int, fp checkpoint.Fingerprint) {
@@ -450,7 +471,7 @@ func TestFleetWorkerCompletesShard(t *testing.T) {
 	if l.State != checkpoint.LeaseDone {
 		t.Fatalf("lease state %q after completion", l.State)
 	}
-	ref := referenceLines(t, spec.Scan.Ranges, spec.Scan.Seed)
+	ref := referenceLines(t, []string{"10.4.0.0/26"}, 19)
 	got := readLines(t, spec.Paths.Output)
 	sort.Slice(got, func(i, j int) bool {
 		a, _ := target.ParseIPv4(got[i])
@@ -459,5 +480,71 @@ func TestFleetWorkerCompletesShard(t *testing.T) {
 	})
 	if strings.Join(got, ",") != strings.Join(ref, ",") {
 		t.Fatalf("single-shard worker output diverges: %d vs %d rows", len(got), len(ref))
+	}
+}
+
+// TestRunFleetRefusesProcessLocalScanInputs: a blocklist reader or a
+// resume snapshot cannot travel to workers, and silently dropping
+// either would change the scan, so RunFleet refuses them up front.
+func TestRunFleetRefusesProcessLocalScanInputs(t *testing.T) {
+	for name, scan := range map[string]Options{
+		"blocklist_file": {Seed: 5, BlocklistFile: strings.NewReader("10.0.0.0/8\n")},
+		"resume":         {Seed: 5, Resume: &Checkpoint{}},
+	} {
+		dir := filepath.Join(t.TempDir(), "fleet")
+		if _, err := RunFleet(context.Background(), FleetOptions{Dir: dir, Scan: scan}); err == nil {
+			t.Errorf("%s: RunFleet accepted it", name)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s: fleet dir created before the refusal", name)
+		}
+	}
+}
+
+// TestFleetFingerprintsMatchCompile: the coordinator's expected shard
+// fingerprints are exactly what each worker's Compile produces, for a
+// scan far from the defaults, and the fleet budget is the scan's
+// compiled (bandwidth-derived) rate.
+func TestFleetFingerprintsMatchCompile(t *testing.T) {
+	scan := Options{
+		Ranges:              []string{"10.7.0.0/20"},
+		Blocklist:           []string{"10.7.4.0/24"},
+		Ports:               "443,80",
+		Seed:                61,
+		Threads:             3,
+		ProbesPerTarget:     2,
+		InterleavedSharding: true,
+		Bandwidth:           "10M",
+	}
+	const workers = 3
+	fps, rate, err := fleetFingerprints(scan, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fps) != workers {
+		t.Fatalf("got %d fingerprints for %d workers", len(fps), workers)
+	}
+	wantRate := ratelimit.BandwidthToRate(10e6, packet.WireLen(packet.SYNFrameLen(packet.LayoutMSS)))
+	if rate != wantRate {
+		t.Fatalf("fleet budget %g, want the bandwidth-derived %g", rate, wantRate)
+	}
+
+	in := NewInternet(SimOptions{Seed: fleetSimSeed, Lossless: true})
+	for i := 0; i < workers; i++ {
+		o := scan
+		o.Shards, o.ShardIndex = workers, i
+		link := in.NewLink(16, 0)
+		s, err := o.Compile(link)
+		link.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.inner.Fingerprint(); got != fps[i] {
+			t.Errorf("shard %d: Compile fingerprint %+v, fleet predicted %+v", i, got, fps[i])
+		}
+	}
+	if fp := fps[1]; fp.Threads != 3 || fp.ProbesPerTarget != 2 || fp.ShardMode != "interleaved" ||
+		fp.Shards != workers || fp.ShardIndex != 1 {
+		t.Fatalf("non-default scan shape lost from the fingerprint: %+v", fp)
 	}
 }

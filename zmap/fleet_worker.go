@@ -3,6 +3,7 @@ package zmap
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"log/slog"
 	"os"
@@ -94,6 +95,11 @@ func runFleetWorkerNet(joinURL string) int {
 func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger *slog.Logger) int {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
+	}
+	var scan fleetScan
+	if err := json.Unmarshal(spec.Scan, &scan); err != nil {
+		logger.Error("fleet worker: bad scan payload", "err", err)
+		return fleet.ExitConfig
 	}
 	pid := os.Getpid()
 	hbInterval := spec.HeartbeatInterval
@@ -212,39 +218,21 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 	}
 
 	internet := NewInternet(SimOptions{
-		Seed:            spec.Scan.SimSeed,
-		Lossless:        spec.Scan.SimLossless,
-		DisableBlowback: spec.Scan.SimDisableBlowback,
+		Seed:            scan.SimSeed,
+		Lossless:        scan.SimLossless,
+		DisableBlowback: scan.SimDisableBlowback,
 	})
-	link := internet.NewLink(0, spec.Scan.SimTimeScale)
+	link := internet.NewLink(0, scan.SimTimeScale)
 	defer link.Close()
 
+	// The payload carries the whole scan; only what belongs to this
+	// process and this grant is set here.
 	var metaBuf bytes.Buffer
-	opts := Options{
-		Ranges:             spec.Scan.Ranges,
-		Blocklist:          spec.Scan.Blocklist,
-		Ports:              spec.Scan.Ports,
-		Probe:              spec.Scan.Probe,
-		Seed:               spec.Scan.Seed,
-		Shards:             spec.Shards,
-		ShardIndex:         spec.Shard,
-		Threads:            spec.Scan.Threads,
-		Rate:               spec.RatePPS,
-		BatchSize:          spec.Scan.BatchSize,
-		ProbesPerTarget:    spec.Scan.ProbesPerTarget,
-		DedupWindow:        spec.Scan.DedupWindow,
-		Cooldown:           spec.Scan.Cooldown,
-		CooldownMax:        spec.Scan.CooldownMax,
-		MaxRuntime:         spec.Scan.MaxRuntime,
-		Format:             spec.Scan.Format,
-		Filter:             spec.Scan.Filter,
-		Results:            out,
-		Metadata:           &metaBuf,
-		CheckpointPath:     plane.CheckpointPath(),
-		CheckpointInterval: spec.CheckpointInterval,
-		Resume:             resume,
-		Logger:             logger,
-	}
+	opts := scan.Options
+	opts.Shards, opts.ShardIndex = spec.Shards, spec.Shard
+	opts.Results, opts.Metadata, opts.Logger = out, &metaBuf, logger
+	opts.CheckpointPath, opts.CheckpointInterval = plane.CheckpointPath(), spec.CheckpointInterval
+	opts.Resume = resume
 	scanner, err := opts.Compile(link)
 	if err != nil {
 		if errors.Is(err, ErrCheckpointMismatch) {

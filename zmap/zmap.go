@@ -63,8 +63,9 @@ type Transport = core.Transport
 
 // ErrSenderAborted is returned (wrapped) by Scanner.Run when sender
 // threads died on fatal transport errors and exhausted their restart
-// budget. The Summary is still returned and its ThreadProgress can seed
-// Options.ResumeProgress to finish the scan.
+// budget. The Summary is still returned, and when CheckpointPath is set
+// the final exact checkpoint is written first: loading it into
+// Options.Resume finishes the scan.
 var ErrSenderAborted = core.ErrSenderAborted
 
 // Summary is the end-of-scan metadata document.
@@ -96,78 +97,82 @@ func Schema() []output.FieldDoc { return output.Schema() }
 
 // Options configures a scan with CLI-shaped values. Zero values take
 // ZMap's defaults. Compile validates and turns them into a Scanner.
+//
+// Options is the one scan description: it encodes to JSON (a fleet
+// ships it to every worker verbatim), and only the process-local
+// handles tagged json:"-" stay behind.
 type Options struct {
 	// Ranges lists target CIDRs (empty = entire IPv4 space).
-	Ranges []string
+	Ranges []string `json:"ranges,omitempty"`
 	// Blocklist lists excluded CIDRs (applied after Ranges).
-	Blocklist []string
+	Blocklist []string `json:"blocklist,omitempty"`
 	// BlocklistFile is parsed in ZMap blocklist format, if non-nil.
-	BlocklistFile io.Reader
+	BlocklistFile io.Reader `json:"-"`
 
 	// Ports uses ZMap port syntax: "80", "80,443", "8000-8010", "*".
-	Ports string
+	Ports string `json:"ports,omitempty"`
 
 	// Probe selects the probe module (default tcp_synscan).
-	Probe string
+	Probe string `json:"probe,omitempty"`
 
 	// Rate is probes/sec; Bandwidth ("10M", "1G") overrides Rate when
 	// set, converted using the probe's on-wire size.
-	Rate      float64
-	Bandwidth string
+	Rate      float64 `json:"rate,omitempty"`
+	Bandwidth string  `json:"bandwidth,omitempty"`
 
 	// BatchSize is how many probe frames each sender thread hands the
 	// transport per flush (0 = default 64; 1 degenerates to per-probe
 	// sends). Larger batches amortize per-send overhead; progress and
 	// rate accounting stay exact at any size.
-	BatchSize int
+	BatchSize int `json:"batch_size,omitempty"`
 
 	// RecvWorkers is how many sharded receive workers parse, validate,
 	// and deduplicate responses (0 = default 1, the classic single
 	// receive thread; values round up to a power of two). Responses fan
 	// out by flow hash, so every response for one target lands on the
 	// same worker and output stays equivalent at any worker count.
-	RecvWorkers int
+	RecvWorkers int `json:"recv_workers,omitempty"`
 
 	// Seed fixes the target permutation; 0 derives one from the clock.
-	Seed int64
+	Seed int64 `json:"seed"`
 
 	// Sharding: this process is shard ShardIndex of Shards total, with
 	// Threads sender goroutines.
-	Shards     int
-	ShardIndex int
-	Threads    int
+	Shards     int `json:"shards,omitempty"`
+	ShardIndex int `json:"shard_index,omitempty"`
+	Threads    int `json:"threads,omitempty"`
 	// InterleavedSharding selects the legacy pre-2017 scheme.
-	InterleavedSharding bool
+	InterleavedSharding bool `json:"interleaved_sharding,omitempty"`
 
 	// TCPOptions names the SYN option layout: none, mss (default),
 	// sack, timestamp, wscale, optimal, linux, bsd, windows.
-	TCPOptions string
+	TCPOptions string `json:"tcp_options,omitempty"`
 
 	// StaticIPID restores the classic fingerprintable IP ID 54321; the
 	// default is the modern random per-probe ID (§4.3, 2024 change).
-	StaticIPID bool
+	StaticIPID bool `json:"static_ip_id,omitempty"`
 
 	// ProbesPerTarget re-sends each probe k times.
-	ProbesPerTarget int
+	ProbesPerTarget int `json:"probes_per_target,omitempty"`
 
 	// MaxTargets caps (IP, port) targets probed by this shard.
-	MaxTargets uint64
+	MaxTargets uint64 `json:"max_targets,omitempty"`
 
 	// Cooldown keeps the receiver open after sending (default 8s). The
 	// cooldown is quiescence-based: it ends once no response has arrived
 	// for a full Cooldown, extending while stragglers keep trickling in,
 	// bounded by CooldownMax (0 = 4x Cooldown; negative = fixed legacy
 	// behavior, exactly Cooldown).
-	Cooldown    time.Duration
-	CooldownMax time.Duration
+	Cooldown    time.Duration `json:"cooldown,omitempty"`
+	CooldownMax time.Duration `json:"cooldown_max,omitempty"`
 
 	// AdaptiveRate enables the closed-loop scan-health controller: the
 	// aggregate rate is cut multiplicatively when the windowed hit rate
 	// collapses or ICMP unreachables spike (the network is shedding our
 	// load), then recovered additively toward Rate. Requires a finite
 	// Rate or Bandwidth. MinRate floors the decrease (0 = Rate/64).
-	AdaptiveRate bool
-	MinRate      float64
+	AdaptiveRate bool    `json:"adaptive_rate,omitempty"`
+	MinRate      float64 `json:"min_rate,omitempty"`
 
 	// QuarantineThreshold tunes per-/16 interference quarantine: a
 	// previously-responsive prefix whose windowed response rate drops
@@ -175,94 +180,88 @@ type Options struct {
 	// health ticks stops being probed, and the event is recorded in the
 	// Summary. 0 = default 0.15 when the health subsystem is on
 	// (AdaptiveRate or an explicit threshold); negative disables.
-	QuarantineThreshold float64
+	QuarantineThreshold float64 `json:"quarantine_threshold,omitempty"`
 
 	// HealthInterval is the health controller's evaluation period
 	// (0 = 1s).
-	HealthInterval time.Duration
+	HealthInterval time.Duration `json:"health_interval,omitempty"`
 
 	// Health optionally overrides every scan-health knob — collapse
 	// evidence persistence, hold periods, quarantine parole cadence —
 	// beyond the common fields above. Zero-valued fields inherit
 	// AdaptiveRate/MinRate/QuarantineThreshold/HealthInterval, then the
 	// health package defaults.
-	Health *health.Config
+	Health *health.Config `json:"health,omitempty"`
 
 	// MaxRuntime stops sending after this duration (0 = unlimited).
-	MaxRuntime time.Duration
+	MaxRuntime time.Duration `json:"max_runtime,omitempty"`
 
 	// Retries bounds per-probe re-sends after transient transport
 	// errors, ZMap's ENOBUFS behavior (0 = default 10, negative = none).
-	Retries int
+	Retries int `json:"retries,omitempty"`
 
 	// Backoff is the initial retry backoff, doubled per attempt and
 	// capped at 64x (0 = 1ms default).
-	Backoff time.Duration
+	Backoff time.Duration `json:"backoff,omitempty"`
 
 	// MaxSenderRestarts bounds supervised sender-thread restarts after
 	// panics or fatal transport errors (0 = default 2, negative = none).
-	MaxSenderRestarts int
-
-	// ResumeProgress continues an interrupted scan from the per-thread
-	// element counts in the previous run's Summary.ThreadProgress. All
-	// permutation-affecting options (Seed, Shards, ShardIndex, Threads,
-	// sharding mode, ranges, ports) must match the original run.
-	ResumeProgress []uint64
+	MaxSenderRestarts int `json:"max_sender_restarts,omitempty"`
 
 	// CheckpointPath makes the scan crash-safe: a snapshot of scan state
 	// is written atomically to this file every CheckpointInterval
 	// (default 5s) and once more, exactly, at the end of the scan or on
 	// a graceful Stop. Resume a killed scan by loading the file with
 	// LoadCheckpoint into Resume.
-	CheckpointPath     string
-	CheckpointInterval time.Duration
+	CheckpointPath     string        `json:"-"`
+	CheckpointInterval time.Duration `json:"checkpoint_interval,omitempty"`
 
 	// Resume restores an interrupted scan from a checkpoint. The
 	// snapshot's fingerprint must match this configuration (Compile
 	// fails with ErrCheckpointMismatch otherwise); a zero Seed is
-	// adopted from the snapshot. Overrides ResumeProgress.
-	Resume *Checkpoint
+	// adopted from the snapshot.
+	Resume *Checkpoint `json:"-"`
 
 	// DedupWindow sizes response deduplication (0 = default 10^6,
 	// negative disables).
-	DedupWindow int
+	DedupWindow int `json:"dedup_window,omitempty"`
 
 	// SourceIP is the scanner's address (defaults to 192.0.2.1, the
 	// TEST-NET address, which the simulator treats as external).
-	SourceIP string
+	SourceIP string `json:"source_ip,omitempty"`
 
 	// Output: Format is text|csv|jsonl; Filter is a ZMap output filter
 	// expression (default "success = 1 && repeat = 0"); Results is the
 	// destination (default: discard, counts only).
-	Format  string
-	Filter  string
-	Results io.Writer
+	Format  string    `json:"format,omitempty"`
+	Filter  string    `json:"filter,omitempty"`
+	Results io.Writer `json:"-"`
 
 	// StatusUpdates receives 1 Hz progress lines (ZMap's third output
 	// stream). StatusFormat selects "csv" (default, ZMap-compatible
 	// columns) or "json" (one object per line with per-thread rates and
 	// send-latency quantiles). StatusCSVHeader prepends the CSV column
 	// header line. StatusInterval overrides the 1 s cadence (tests).
-	StatusUpdates   io.Writer
-	StatusFormat    string
-	StatusCSVHeader bool
-	StatusInterval  time.Duration
+	StatusUpdates   io.Writer     `json:"-"`
+	StatusFormat    string        `json:"status_format,omitempty"`
+	StatusCSVHeader bool          `json:"status_csv_header,omitempty"`
+	StatusInterval  time.Duration `json:"status_interval,omitempty"`
 	// Metrics optionally supplies the registry the scan records into;
 	// nil creates a private one, available via Scanner.Metrics.
-	Metrics *MetricsRegistry
+	Metrics *MetricsRegistry `json:"-"`
 
 	// TraceSampleEvery tunes the flight recorder's probe-lifecycle
 	// sampling: 1 in N targets is traced end-to-end (0 = default 256,
 	// rounded up to a power of two; 1 traces every target; negative
 	// disables probe sampling — the decision journal always stays on).
-	TraceSampleEvery int
+	TraceSampleEvery int `json:"trace_sample_every,omitempty"`
 	// TraceRingSize is the recorder's per-shard event capacity
 	// (0 = default 8192).
-	TraceRingSize int
+	TraceRingSize int `json:"trace_ring_size,omitempty"`
 	// Metadata receives the end-of-scan JSON document.
-	Metadata io.Writer
+	Metadata io.Writer `json:"-"`
 	// Logger receives structured logs; nil discards them.
-	Logger *slog.Logger
+	Logger *slog.Logger `json:"-"`
 }
 
 // Scanner is a compiled, runnable scan.
@@ -272,20 +271,52 @@ type Scanner struct {
 
 // Compile validates options and prepares a scanner bound to transport.
 func (o Options) Compile(transport Transport) (*Scanner, error) {
+	cfg, err := o.config()
+	if err != nil {
+		return nil, err
+	}
+	inner, err := core.New(cfg, transport)
+	if err != nil {
+		return nil, err
+	}
+	// When scanning the simulated Internet, record each scheduled
+	// response's modeled delay (RTT + blowback gap) as a histogram, so
+	// the sim's latency distribution is visible next to the real ones.
+	if dr, ok := transport.(delayRecordable); ok {
+		h := inner.Registry().Histogram("zmapgo_sim_response_delay_seconds",
+			"Simulated (unscaled) response delay scheduled by the netsim link.", 1)
+		dr.SetSimDelayRecorder(h.Shard(0))
+	}
+	// Put netsim scenario events and fault drops on the flight
+	// recorder's timeline, so an offline trace can attribute controller
+	// decisions to the faults that provoked them.
+	if wo, ok := transport.(weatherObservable); ok {
+		wo.SetWeatherObserver(&weatherBridge{
+			rec: inner.Trace(),
+			sh:  inner.TraceFaultShard(),
+		})
+	}
+	return &Scanner{inner: inner}, nil
+}
+
+// config parses the CLI-shaped options into the engine's typed config:
+// all of Compile except binding a transport, so a fleet coordinator
+// predicts each shard's fingerprint with the code its workers run.
+func (o Options) config() (core.Config, error) {
 	cons := target.NewConstraint(len(o.Ranges) == 0)
 	for _, r := range o.Ranges {
 		if err := cons.AllowCIDR(r); err != nil {
-			return nil, err
+			return core.Config{}, err
 		}
 	}
 	for _, b := range o.Blocklist {
 		if err := cons.DenyCIDR(b); err != nil {
-			return nil, err
+			return core.Config{}, err
 		}
 	}
 	if o.BlocklistFile != nil {
 		if _, err := cons.LoadBlocklist(o.BlocklistFile); err != nil {
-			return nil, err
+			return core.Config{}, err
 		}
 	}
 
@@ -295,7 +326,7 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 	}
 	ports, err := target.ParsePorts(portSpec)
 	if err != nil {
-		return nil, err
+		return core.Config{}, err
 	}
 
 	layout := packet.LayoutMSS
@@ -303,7 +334,7 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 		var ok bool
 		layout, ok = packet.ParseOptionLayout(o.TCPOptions)
 		if !ok {
-			return nil, fmt.Errorf("zmap: unknown TCP option layout %q", o.TCPOptions)
+			return core.Config{}, fmt.Errorf("zmap: unknown TCP option layout %q", o.TCPOptions)
 		}
 	}
 
@@ -311,7 +342,7 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 	if o.Bandwidth != "" {
 		bits, err := ratelimit.ParseBandwidth(o.Bandwidth)
 		if err != nil {
-			return nil, err
+			return core.Config{}, err
 		}
 		frameLen := packet.SYNFrameLen(layout)
 		rate = ratelimit.BandwidthToRate(bits, packet.WireLen(frameLen))
@@ -321,7 +352,7 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 	if o.SourceIP != "" {
 		srcIP, err = target.ParseIPv4(o.SourceIP)
 		if err != nil {
-			return nil, err
+			return core.Config{}, err
 		}
 	}
 
@@ -331,13 +362,13 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 	}
 	filter, err := output.CompileFilter(filterExpr)
 	if err != nil {
-		return nil, err
+		return core.Config{}, err
 	}
 	var results output.Writer
 	if o.Results != nil {
 		w, err := output.NewWriter(o.Format, o.Results, ports.Len() > 1)
 		if err != nil {
-			return nil, err
+			return core.Config{}, err
 		}
 		results = &output.Filtered{W: w, Filter: filter}
 	} else {
@@ -349,7 +380,7 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 		mode = shard.Interleaved
 	}
 
-	cfg := core.Config{
+	return core.Config{
 		ProbeModule:         o.Probe,
 		Constraint:          cons,
 		Ports:               ports,
@@ -374,7 +405,6 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 		Retries:             o.Retries,
 		Backoff:             o.Backoff,
 		MaxSenderRestarts:   o.MaxSenderRestarts,
-		ResumeProgress:      o.ResumeProgress,
 		CheckpointPath:      o.CheckpointPath,
 		CheckpointInterval:  o.CheckpointInterval,
 		Resume:              o.Resume,
@@ -394,29 +424,7 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 		DedupWindow:         o.DedupWindow,
 		TraceSampleEvery:    o.TraceSampleEvery,
 		TraceRingSize:       o.TraceRingSize,
-	}
-	inner, err := core.New(cfg, transport)
-	if err != nil {
-		return nil, err
-	}
-	// When scanning the simulated Internet, record each scheduled
-	// response's modeled delay (RTT + blowback gap) as a histogram, so
-	// the sim's latency distribution is visible next to the real ones.
-	if dr, ok := transport.(delayRecordable); ok {
-		h := inner.Registry().Histogram("zmapgo_sim_response_delay_seconds",
-			"Simulated (unscaled) response delay scheduled by the netsim link.", 1)
-		dr.SetSimDelayRecorder(h.Shard(0))
-	}
-	// Put netsim scenario events and fault drops on the flight
-	// recorder's timeline, so an offline trace can attribute controller
-	// decisions to the faults that provoked them.
-	if wo, ok := transport.(weatherObservable); ok {
-		wo.SetWeatherObserver(&weatherBridge{
-			rec: inner.Trace(),
-			sh:  inner.TraceFaultShard(),
-		})
-	}
-	return &Scanner{inner: inner}, nil
+	}, nil
 }
 
 // delayRecordable is satisfied by *Link; Compile uses it to attach the

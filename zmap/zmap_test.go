@@ -3,6 +3,9 @@ package zmap
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -266,5 +269,85 @@ func TestGrabStructuredPublicAPI(t *testing.T) {
 	}
 	if _, _, err := in.GrabStructured(httpIP, 80, "bogus"); err == nil {
 		t.Error("bogus module accepted")
+	}
+}
+
+// TestOptionsJSONRoundTrip: every Options field a fleet ships to its
+// workers survives encoding/json — set by reflection, so a new field
+// without a working tag fails here instead of silently dropping out of
+// fleet scans — and exactly the process-local handles stay behind.
+func TestOptionsJSONRoundTrip(t *testing.T) {
+	var o Options
+	v := reflect.ValueOf(&o).Elem()
+	var local []string
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.Tag.Get("json") == "-" {
+			local = append(local, f.Name)
+			continue
+		}
+		fillNonZero(t, v.Field(i), f.Name)
+	}
+	sort.Strings(local)
+	wantLocal := []string{"BlocklistFile", "CheckpointPath", "Logger", "Metadata",
+		"Metrics", "Results", "Resume", "StatusUpdates"}
+	if !reflect.DeepEqual(local, wantLocal) {
+		t.Fatalf("json:\"-\" fields %v, want exactly the process-local %v", local, wantLocal)
+	}
+
+	// Through the fleet payload, which embeds Options beside the sim
+	// parameters: no key may collide.
+	data, err := json.Marshal(fleetScan{Options: o, SimSeed: 3, SimLossless: true,
+		SimDisableBlowback: true, SimTimeScale: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back fleetScan
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Options, o) {
+		t.Fatalf("Options changed in a JSON round trip:\n got %+v\nwant %+v\njson %s", back.Options, o, data)
+	}
+	if back.SimSeed != 3 || !back.SimLossless || !back.SimDisableBlowback || back.SimTimeScale != 0.5 {
+		t.Fatalf("sim parameters lost: %+v", back)
+	}
+}
+
+// fillNonZero sets v to a non-zero value, recursing through pointers,
+// slices and structs (skipping their json:"-" fields).
+func fillNonZero(t *testing.T, v reflect.Value, path string) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(path)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(7)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(0.25)
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 1, 1)
+		fillNonZero(t, s.Index(0), path+"[0]")
+		v.Set(s)
+	case reflect.Pointer:
+		p := reflect.New(v.Type().Elem())
+		fillNonZero(t, p.Elem(), path)
+		v.Set(p)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if f.IsExported() && f.Tag.Get("json") != "-" {
+				fillNonZero(t, v.Field(i), path+"."+f.Name)
+			}
+		}
+	default:
+		t.Fatalf("%s: no non-zero filler for kind %s", path, v.Kind())
+	}
+	if v.IsZero() {
+		t.Fatalf("%s: still zero after filling", path)
 	}
 }
