@@ -47,9 +47,9 @@ func runFleet(args []string) int {
 		faultSeed   = fs.Uint64("fault-seed", 0, "derive a random fault plan from this seed instead of --fault-plan")
 		faultCount  = fs.Int("fault-count", 3, "faults in the derived plan (with --fault-seed)")
 		faultWindow = fs.Duration("fault-window", 2*time.Second, "window the derived faults spread over (with --fault-seed)")
-		listen      = fs.String("listen", "", "serve the control plane over HTTP on this host:port instead of the shared filesystem (port 0 = pick)")
+		listen      = fs.String("listen", "", "control-plane bind address host:port; every fleet serves its workers over HTTP (default 127.0.0.1:0, port 0 = pick)")
 		advertise   = fs.String("advertise", "", "control-plane URL published to workers (default http://<bound address>)")
-		joinToken   = fs.String("join-token", "", "shared token required on every worker RPC (with --listen)")
+		joinToken   = fs.String("join-token", "", "token required on every worker RPC; give it to remote workers (default: a random token in <dir>/join.token for locally spawned workers, none with --remote-workers)")
 		remote      = fs.Bool("remote-workers", false, "do not spawn local workers; offer grants to `zmapgo fleet-worker --join` processes (requires --listen)")
 		simSeed     = fs.Uint64("sim-seed", 1, "simulated-Internet population seed (identical in every worker)")
 		simLossless = fs.Bool("sim-lossless", false, "disable simulated packet loss")

@@ -14,7 +14,7 @@ import (
 )
 
 // runFleetWorkerCmd is the `zmapgo fleet-worker` subcommand: join a
-// fleet coordinator's network control plane from another host (or
+// fleet coordinator's control plane from another host (or
 // terminal) and run shard grants as they are offered. The coordinator
 // side is `zmapgo fleet --listen ... --remote-workers`.
 func runFleetWorkerCmd(args []string) int {

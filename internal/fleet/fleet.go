@@ -34,8 +34,8 @@ var ErrRespawnsExhausted = errors.New("fleet: respawn budget exhausted")
 // Config drives one fleet run.
 type Config struct {
 	// Dir is the fleet state directory; each shard gets a
-	// subdirectory holding its spec, lease, checkpoint, rate file, and
-	// per-epoch output/metadata runs.
+	// subdirectory holding its spec, lease, checkpoint, and per-epoch
+	// output/metadata runs.
 	Dir string
 
 	// Binary is the worker executable (default: this process's own
@@ -77,10 +77,6 @@ type Config struct {
 	// 500ms); it bounds the work re-done after a crash.
 	CheckpointInterval time.Duration
 
-	// RatePollInterval is how often workers re-read their rate file
-	// (default 100ms).
-	RatePollInterval time.Duration
-
 	// MaxRespawns bounds per-shard reclaim-respawn cycles (0 =
 	// default 5; negative = none allowed). RespawnBackoff is the
 	// first reclaim's delay, doubled per consecutive reclaim up to
@@ -93,16 +89,13 @@ type Config struct {
 	// the running fleet (kill/hang/slow, see FaultPlan).
 	Faults *FaultPlan
 
-	// Plane is the coordinator↔worker control plane (nil = the
-	// filesystem plane, byte-compatible with pre-network fleet dirs).
-	// The network plane lives in internal/fleetnet and is wired in by
-	// zmap.RunFleet when a listen address is configured.
+	// Plane is the coordinator↔worker control plane (required):
+	// zmap.RunFleet wires in the internal/fleetnet server.
 	Plane ControlPlane
 
 	// RemoteWorkers disables local worker spawning: each grant is
-	// offered through the plane (which must implement RemotePlane) and
-	// executed by a joined `fleet-worker` process, supervised through
-	// its lease renewals alone.
+	// offered through the plane and executed by a joined `fleet-worker`
+	// process, supervised through its lease renewals alone.
 	RemoteWorkers bool
 
 	// MergedOutput is the merged result path (default
@@ -256,9 +249,6 @@ func (c *Config) applyDefaults() error {
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 500 * time.Millisecond
 	}
-	if c.RatePollInterval <= 0 {
-		c.RatePollInterval = 100 * time.Millisecond
-	}
 	switch {
 	case c.MaxRespawns == 0:
 		c.MaxRespawns = 5
@@ -272,12 +262,7 @@ func (c *Config) applyDefaults() error {
 		c.RespawnBackoffMax = 2 * time.Second
 	}
 	if c.Plane == nil {
-		c.Plane = NewFSControlPlane()
-	}
-	if c.RemoteWorkers {
-		if _, ok := c.Plane.(RemotePlane); !ok {
-			return fmt.Errorf("fleet: RemoteWorkers requires a remote-capable control plane, have %q", c.Plane.Name())
-		}
+		return errors.New("fleet: Config.Plane is required")
 	}
 	if c.MergedOutput == "" {
 		c.MergedOutput = filepath.Join(c.Dir, "merged."+outputExt(c.Format))
@@ -345,19 +330,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	c.journal(trace.JEntry{Kind: trace.JFleetStart, Name: c.fleetID,
-		Detail: fmt.Sprintf("workers=%d seed=%d budget=%.0fpps ttl=%s plane=%s",
-			workers, cfg.Fingerprints[0].Seed, cfg.RateBudget, cfg.LeaseTTL, c.plane.Name())})
+		Detail: fmt.Sprintf("workers=%d seed=%d budget=%.0fpps ttl=%s",
+			workers, cfg.Fingerprints[0].Seed, cfg.RateBudget, cfg.LeaseTTL)})
 	defer c.dumpTrace()
 
 	if err := c.plane.Start(PlaneInfo{
-		Dir:      cfg.Dir,
-		Workers:  workers,
-		Format:   cfg.Format,
-		FleetID:  c.fleetID,
-		LeaseTTL: cfg.LeaseTTL,
-		Journal:  c.journal,
-		Metrics:  reg,
-		Logger:   logger,
+		Dir:     cfg.Dir,
+		Workers: workers,
+		Format:  cfg.Format,
+		Journal: c.journal,
+		Metrics: reg,
+		Logger:  logger,
 	}); err != nil {
 		return nil, fmt.Errorf("fleet: control plane start: %w", err)
 	}
@@ -521,8 +504,9 @@ func (c *coordinator) setAlive(shard int, up bool, reason string) {
 	}
 }
 
-// reallocateLocked rewrites every live shard's rate file with an equal
-// share of the budget. Callers hold c.mu.
+// reallocateLocked hands every live shard an equal share of the budget
+// through the plane. A dead shard keeps its last share until it is
+// live again. Callers hold c.mu.
 func (c *coordinator) reallocateLocked(reason string) (share float64, alive int) {
 	for _, a := range c.alive {
 		if a {
@@ -542,74 +526,10 @@ func (c *coordinator) reallocateLocked(reason string) (share float64, alive int)
 			continue
 		}
 		c.rateAlloc[i].Set(share)
-		path := PathsFor(c.cfg.Dir, i, 1, c.cfg.Format).Rate
-		if err := writeRateFileRetry(path, share); err != nil {
-			// A silently lost write here would strand part of the fleet
-			// budget: a dead worker's slice never reaches the survivors
-			// (or a respawn keeps an inflated share). Journal it as a
-			// first-class decision so the loss is attributable, and keep
-			// the gauge at the intended value — the next realloc retries.
-			c.log.Warn("rate file write failed after retries", "shard", i, "err", err)
-			c.journal(trace.JEntry{Kind: trace.JFleetRateLost, Index: i,
-				Reason: reason, RatePPS: share,
-				Detail: fmt.Sprintf("attempts=%d err=%v", rateWriteAttempts, err)})
-		}
+		c.plane.SetRate(i, share)
 	}
 	c.log.Debug("rate reallocated", "reason", reason, "alive", alive, "share", share)
 	return share, alive
-}
-
-// rateWriteAttempts bounds the per-shard retry of a failed rate-file
-// publication (transient ENOSPC/EACCES flaps on network filesystems).
-const rateWriteAttempts = 4
-
-// writeRateFileRetry publishes a rate cap with a short bounded backoff;
-// the caller journals the final failure.
-func writeRateFileRetry(path string, pps float64) error {
-	backoff := 2 * time.Millisecond
-	var err error
-	for attempt := 0; attempt < rateWriteAttempts; attempt++ {
-		if err = writeRateFile(path, pps); err == nil {
-			return nil
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-	}
-	return err
-}
-
-// writeRateFile publishes a rate cap atomically (tiny advisory file;
-// rename keeps readers from seeing a torn value).
-func writeRateFile(path string, pps float64) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("%g\n", pps)), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// ReadRateFile reads a cap published by the coordinator; workers poll
-// it. Returns 0 (no cap) when the file is missing or unparseable.
-func ReadRateFile(path string) float64 {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	v, err := strconv.ParseFloat(string(trimSpaceBytes(data)), 64)
-	if err != nil || v < 0 {
-		return 0
-	}
-	return v
-}
-
-func trimSpaceBytes(b []byte) []byte {
-	for len(b) > 0 && (b[len(b)-1] == '\n' || b[len(b)-1] == '\r' || b[len(b)-1] == ' ') {
-		b = b[:len(b)-1]
-	}
-	for len(b) > 0 && b[0] == ' ' {
-		b = b[1:]
-	}
-	return b
 }
 
 // injectFaults replays the chaos schedule against the live fleet.
@@ -706,6 +626,7 @@ func (s *supervisor) run(ctx context.Context) error {
 				Name: l.WorkerID, Reason: "live_worker",
 				Detail: fmt.Sprintf("pid=%d epoch=%d", l.OwnerPID, l.Epoch)})
 			out := s.monitorAdopted(ctx, l, donePaths)
+			os.RemoveAll(donePaths.Spool)
 			s.pid.Store(0)
 			c.setAlive(s.shard, false, out.String())
 			switch out {
@@ -807,7 +728,6 @@ func (s *supervisor) runEpoch(ctx context.Context, epoch int, resume bool) (outc
 		LeaseTTL:           c.cfg.LeaseTTL,
 		CheckpointInterval: c.cfg.CheckpointInterval,
 		HeartbeatInterval:  c.cfg.HeartbeatInterval,
-		RatePollInterval:   c.cfg.RatePollInterval,
 	}
 	// Grant: bump the epoch (durably, through the plane) before the
 	// worker exists, so a fenced straggler from the previous epoch can
@@ -860,6 +780,9 @@ func (s *supervisor) runEpoch(ctx context.Context, epoch int, resume bool) (outc
 	go func() { exitCh <- cmd.Wait() }()
 
 	out := s.monitorSpawned(ctx, pid, epoch, exitCh, paths)
+	// The worker has been reaped: drop whatever spool a crash or kill
+	// left behind.
+	os.RemoveAll(paths.Spool)
 	s.pid.Store(0)
 	c.setAlive(s.shard, false, out.String())
 	return out, nil
@@ -876,8 +799,7 @@ func (s *supervisor) runEpoch(ctx context.Context, epoch int, resume bool) (outc
 // cannot renew within one lease TTL).
 func (s *supervisor) runRemoteEpoch(ctx context.Context, spec *WorkerSpec, paths WorkerPaths) outcome {
 	c := s.c
-	rp := c.plane.(RemotePlane) // validated in applyDefaults
-	rp.Offer(spec)
+	c.plane.Offer(spec)
 	c.setAlive(s.shard, true, "offer")
 	c.journal(trace.JEntry{Kind: trace.JFleetOffer, Index: s.shard, Name: spec.WorkerID(),
 		Reason: "grant", Detail: fmt.Sprintf("epoch=%d resume=%t", spec.Epoch, spec.Resume)})
@@ -902,7 +824,7 @@ func (s *supervisor) runRemoteEpoch(ctx context.Context, spec *WorkerSpec, paths
 						Name: spec.WorkerID(), Reason: "remote"})
 					return outDone
 				}
-				if code, ok := rp.TakeExit(s.shard, spec.Epoch); ok {
+				if code, ok := c.plane.TakeExit(s.shard, spec.Epoch); ok {
 					return s.classifyExitCode(code, nil, paths)
 				}
 				l, err := checkpoint.LoadLease(paths.Lease)
@@ -922,7 +844,7 @@ func (s *supervisor) runRemoteEpoch(ctx context.Context, spec *WorkerSpec, paths
 					// renewal. Re-offering the same epoch is idempotent —
 					// worst case two workers race to adopt one epoch,
 					// both may scan, and the merge dedups the overlap.
-					rp.Offer(spec)
+					c.plane.Offer(spec)
 					offered = time.Now()
 					c.journal(trace.JEntry{Kind: trace.JFleetOffer, Index: s.shard,
 						Name: spec.WorkerID(), Reason: "reoffer"})

@@ -222,7 +222,7 @@ func TestShardHandoffFingerprintGate(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err := Run(context.Background(), Config{
-				Dir: dir, Fingerprints: fps,
+				Dir: dir, Fingerprints: fps, Plane: &stubPlane{},
 				Binary: "/bin/false", // must never be reached
 			})
 			if !errors.Is(err, ErrFingerprintMismatch) {
@@ -246,7 +246,7 @@ func TestShardHandoffFingerprintGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := Run(context.Background(), Config{
-		Dir: dir, Fingerprints: fps,
+		Dir: dir, Fingerprints: fps, Plane: &stubPlane{},
 		Binary:         "/bin/false",
 		MaxRespawns:    -1, // first crash is fatal: keeps the test fast
 		RespawnBackoff: time.Millisecond,
@@ -259,23 +259,6 @@ func TestShardHandoffFingerprintGate(t *testing.T) {
 	}
 }
 
-func TestRateFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rate.pps")
-	if got := ReadRateFile(path); got != 0 {
-		t.Fatalf("missing file read as %g", got)
-	}
-	if err := writeRateFile(path, 12500.5); err != nil {
-		t.Fatal(err)
-	}
-	if got := ReadRateFile(path); got != 12500.5 {
-		t.Fatalf("round trip: %g", got)
-	}
-	os.WriteFile(path, []byte("not-a-number\n"), 0o644)
-	if got := ReadRateFile(path); got != 0 {
-		t.Fatalf("garbage read as %g", got)
-	}
-}
-
 // TestZeroSeedRejected: a zero seed means "derive from the clock", so
 // every worker would walk a different permutation; the coordinator
 // refuses it before touching the fleet directory.
@@ -284,7 +267,7 @@ func TestZeroSeedRejected(t *testing.T) {
 	second.Seed = 0
 	dir := filepath.Join(t.TempDir(), "fleet")
 	_, err := Run(context.Background(), Config{
-		Dir: dir, Fingerprints: []checkpoint.Fingerprint{slotFingerprint, second},
+		Dir: dir, Fingerprints: []checkpoint.Fingerprint{slotFingerprint, second}, Plane: &stubPlane{},
 		Binary: "/bin/false",
 	})
 	if err == nil || !strings.Contains(err.Error(), "seed 0") {
@@ -316,7 +299,7 @@ func TestLeaseGateRejectsForeignLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := Run(context.Background(), Config{
-		Dir: dir, Fingerprints: fps, Binary: "/bin/false",
+		Dir: dir, Fingerprints: fps, Plane: &stubPlane{}, Binary: "/bin/false",
 	})
 	if !errors.Is(err, ErrFingerprintMismatch) {
 		t.Fatalf("foreign lease accepted: %v", err)

@@ -1,38 +1,23 @@
 package fleet
 
 import (
-	"fmt"
-	"io"
 	"log/slog"
-	"os"
-	"time"
 
 	"zmapgo/internal/checkpoint"
 	"zmapgo/internal/metrics"
 	"zmapgo/internal/trace"
 )
 
-// This file abstracts the coordinator↔worker protocol — lease
-// grant/renew/fence, heartbeats, rate-budget publication, checkpoint
-// adoption, result/metadata shipping, and the epoch commit record —
-// behind a pair of interfaces, so the same supervision and worker
-// runtime work over two transports:
+// The coordinator↔worker protocol — lease grant/renew/fence,
+// heartbeats, rate-budget publication, checkpoint adoption,
+// result/metadata shipping, and the epoch commit record — has one
+// implementation: the HTTP/JSON plane in internal/fleetnet, served for
+// every fleet (on loopback when workers are spawned locally). It is a
+// fencing facade over the fleet directory, so merge, crash-resume, and
+// journal logic here read the same durable files the server writes.
 //
-//   - the filesystem plane (this file): the PR 8 protocol, byte-
-//     compatible with existing fleet directories — spec/lease/rate
-//     files plus per-epoch run files, all coordinated through atomic
-//     renames on a shared filesystem;
-//   - the network plane (internal/fleetnet): the coordinator serves the
-//     same shard-dir state machine over HTTP/JSON, and workers join
-//     over TCP with per-RPC timeouts, bounded backoff, idempotent
-//     retries, and server-side epoch fencing.
-//
-// The split is deliberately asymmetric. The coordinator's durable state
-// lives in the fleet directory under BOTH planes (the network server is
-// a fencing facade over the same files), so merge, crash-resume, and
-// journal logic are transport-independent. Only the worker's access
-// path changes: direct file I/O on the filesystem plane, RPCs against
-// the coordinator on the network plane.
+// ControlPlane stays an interface only because this package cannot
+// import internal/fleetnet (fleetnet imports fleet).
 
 // PlaneInfo is what a ControlPlane learns about the fleet at Start:
 // where the durable state lives, how wide the fleet is, and the hooks
@@ -44,11 +29,6 @@ type PlaneInfo struct {
 	Workers int
 	// Format is the scan output format (run-file extension).
 	Format string
-	// FleetID identifies this coordinator incarnation.
-	FleetID string
-	// LeaseTTL is the fleet's heartbeat TTL (workers self-fence against
-	// it when they cannot renew).
-	LeaseTTL time.Duration
 	// Journal receives control-plane decisions for the coordinator's
 	// decision journal. Never nil after fleet.Run wiring.
 	Journal func(trace.JEntry)
@@ -59,213 +39,28 @@ type PlaneInfo struct {
 }
 
 // ControlPlane is the coordinator's side of the protocol: how a shard
-// epoch is granted (the fencing point) and how a worker process is told
-// to join it.
+// epoch is granted (the fencing point), how a worker process is told to
+// join it, and how each shard's live rate share reaches its worker.
 type ControlPlane interface {
-	// Name labels the plane in journals and logs ("fs", "http").
-	Name() string
 	// Start binds the plane to a running fleet. Called once, before any
-	// Grant.
+	// Grant or SetRate.
 	Start(info PlaneInfo) error
 	// Grant publishes a new epoch's worker spec and lease. The lease
 	// write is the fencing point: once it lands, renewals under any
 	// older epoch fail. Spec must be durable before the lease.
 	Grant(spec *WorkerSpec, lease *checkpoint.Lease) error
 	// WorkerEnv returns the environment entries a locally-spawned
-	// worker needs to find this grant (e.g. the spec path, or the
-	// coordinator URL plus shard/epoch).
+	// worker needs to find this grant.
 	WorkerEnv(spec *WorkerSpec) []string
+	// Offer makes a grant acquirable by a worker process the
+	// coordinator did not spawn (zmapgo fleet-worker --join).
+	Offer(spec *WorkerSpec)
+	// TakeExit consumes a joined worker's reported exit code for the
+	// given epoch, if one arrived.
+	TakeExit(shard, epoch int) (code int, ok bool)
+	// SetRate sets the shard's share of the fleet rate budget in pps
+	// (0 = no cap). Every lease renewal answers with the latest value.
+	SetRate(shard int, pps float64)
 	// Close releases listeners and handles. Safe after Start failure.
 	Close() error
 }
-
-// RemotePlane is the optional coordinator-side extension for planes
-// that can hand grants to worker processes the coordinator did not
-// spawn (zmapgo fleet-worker --join). Offer makes a grant acquirable;
-// TakeExit consumes a joined worker's reported exit code for the given
-// epoch, if one arrived.
-type RemotePlane interface {
-	ControlPlane
-	Offer(spec *WorkerSpec)
-	TakeExit(shard, epoch int) (code int, ok bool)
-}
-
-// WorkerPlane is the worker's side of the protocol for one lease epoch:
-// liveness, fencing, rate discovery, checkpoint adoption, result
-// shipping, and the commit record. The worker runtime
-// (zmap.FleetWorkerMain) is transport-agnostic against it.
-type WorkerPlane interface {
-	// Adopt is the first renewal: it proves liveness to the coordinator
-	// and fences this worker out (checkpoint.ErrLeaseFenced, wrapped)
-	// if the shard has already been re-granted.
-	Adopt(pid int, now time.Time) error
-	// Renew is the periodic heartbeat. It returns the worker's current
-	// rate share in pps (0 = no cap, negative = no update available).
-	// A wrapped checkpoint.ErrLeaseFenced means the epoch moved on and
-	// the worker must stop scanning.
-	Renew(pid int, now time.Time) (ratePPS float64, err error)
-	// RateCap cheaply returns the freshest known rate share without a
-	// round trip (filesystem: read the rate file; network: the value
-	// cached from the last renewal). 0 = no cap.
-	RateCap() float64
-	// CheckpointPath is the local file the scan engine snapshots into.
-	// On the network plane this is a private spool the plane ships
-	// upstream; on the filesystem plane it is the shared shard file.
-	CheckpointPath() string
-	// LoadCheckpoint fetches the durable resume snapshot from the
-	// coordinator's view, or (nil, nil) when none exists.
-	LoadCheckpoint() (*checkpoint.Snapshot, error)
-	// OpenResults opens this epoch's result stream.
-	OpenResults() (io.WriteCloser, error)
-	// Sync makes the coordinator's durable view catch up with local
-	// progress: all result rows covered by the latest local checkpoint
-	// are shipped before the checkpoint itself, so a reclaimed shard
-	// resumed elsewhere never skips a row it cannot see. Filesystem
-	// plane: no-op (the local files ARE the coordinator's view).
-	Sync() error
-	// Commit publishes the epoch's metadata document — the shard's
-	// atomic completion record — after a final Sync. Idempotent: a
-	// retried commit of the same epoch is acknowledged, not re-applied.
-	Commit(metadata []byte) error
-	// Close releases local resources without committing.
-	Close() error
-}
-
-// ---------------------------------------------------------------------
-// Filesystem implementations (the PR 8 protocol, refactored in place).
-// ---------------------------------------------------------------------
-
-// FSControlPlane is the shared-filesystem coordinator plane: grants are
-// a spec write followed by an atomic lease write in the shard
-// directory, and spawned workers find the spec through WorkerSpecEnv.
-type FSControlPlane struct {
-	info PlaneInfo
-}
-
-// NewFSControlPlane returns the default filesystem control plane.
-func NewFSControlPlane() *FSControlPlane { return &FSControlPlane{} }
-
-// Name implements ControlPlane.
-func (p *FSControlPlane) Name() string { return "fs" }
-
-// Start implements ControlPlane.
-func (p *FSControlPlane) Start(info PlaneInfo) error {
-	p.info = info
-	return nil
-}
-
-// Grant implements ControlPlane: the spec must be durable before the
-// lease, because the lease is what fences the previous epoch out and
-// the new worker reads the spec unconditionally.
-func (p *FSControlPlane) Grant(spec *WorkerSpec, lease *checkpoint.Lease) error {
-	if err := SaveWorkerSpec(spec.Paths.Spec, spec); err != nil {
-		return err
-	}
-	return checkpoint.SaveLease(spec.Paths.Lease, lease)
-}
-
-// WorkerEnv implements ControlPlane.
-func (p *FSControlPlane) WorkerEnv(spec *WorkerSpec) []string {
-	return []string{WorkerSpecEnv + "=" + spec.Paths.Spec}
-}
-
-// Close implements ControlPlane.
-func (p *FSControlPlane) Close() error { return nil }
-
-// FSWorkerPlane is the worker's filesystem plane: renewals rewrite the
-// shared lease file (epoch-fenced by checkpoint.RenewLease), the rate
-// cap is polled from the coordinator's rate file, and results,
-// checkpoints, and the metadata commit record are written directly to
-// the shard directory.
-type FSWorkerPlane struct {
-	spec *WorkerSpec
-	log  *slog.Logger
-}
-
-// NewFSWorkerPlane builds the worker-side filesystem plane for one
-// granted epoch. logger may be nil.
-func NewFSWorkerPlane(spec *WorkerSpec, logger *slog.Logger) *FSWorkerPlane {
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
-	}
-	return &FSWorkerPlane{spec: spec, log: logger}
-}
-
-// Adopt implements WorkerPlane.
-func (p *FSWorkerPlane) Adopt(pid int, now time.Time) error {
-	_, err := checkpoint.RenewLease(p.spec.Paths.Lease, p.spec.Epoch, pid, now)
-	return err
-}
-
-// Renew implements WorkerPlane.
-func (p *FSWorkerPlane) Renew(pid int, now time.Time) (float64, error) {
-	if _, err := checkpoint.RenewLease(p.spec.Paths.Lease, p.spec.Epoch, pid, now); err != nil {
-		return -1, err
-	}
-	return ReadRateFile(p.spec.Paths.Rate), nil
-}
-
-// RateCap implements WorkerPlane.
-func (p *FSWorkerPlane) RateCap() float64 {
-	return ReadRateFile(p.spec.Paths.Rate)
-}
-
-// CheckpointPath implements WorkerPlane.
-func (p *FSWorkerPlane) CheckpointPath() string { return p.spec.Paths.Checkpoint }
-
-// LoadCheckpoint implements WorkerPlane. A missing or unreadable
-// checkpoint returns (nil, nil): resuming from zero only costs
-// re-scanning, at-least-once is preserved, and the merge dedups.
-func (p *FSWorkerPlane) LoadCheckpoint() (*checkpoint.Snapshot, error) {
-	snap, err := checkpoint.Load(p.spec.Paths.Checkpoint)
-	if err != nil {
-		p.log.Warn("checkpoint unreadable; starting fresh", "err", err)
-		return nil, nil
-	}
-	return snap, nil
-}
-
-// OpenResults implements WorkerPlane. Each epoch writes a fresh run
-// file so a crash cannot torn-append into a previous epoch's rows.
-func (p *FSWorkerPlane) OpenResults() (io.WriteCloser, error) {
-	return os.Create(p.spec.Paths.Output)
-}
-
-// Sync implements WorkerPlane: a no-op, the shard directory is the
-// coordinator's durable view.
-func (p *FSWorkerPlane) Sync() error { return nil }
-
-// Commit implements WorkerPlane: the metadata file's atomic appearance
-// is the shard's completion record; only then is the lease done-marked.
-// The done-mark is advisory (it spares a restarted coordinator a
-// metadata stat) — its failure is logged, not fatal, because the
-// coordinator adopts a shard as finished on the commit record alone.
-func (p *FSWorkerPlane) Commit(metadata []byte) error {
-	tmp := p.spec.Paths.Metadata + ".tmp"
-	if err := os.WriteFile(tmp, metadata, 0o644); err != nil {
-		return fmt.Errorf("fleet: metadata: %w", err)
-	}
-	if err := os.Rename(tmp, p.spec.Paths.Metadata); err != nil {
-		return fmt.Errorf("fleet: metadata rename: %w", err)
-	}
-	p.markDone()
-	return nil
-}
-
-// markDone best-effort flips the lease terminal. Split out so its
-// failure path is directly testable.
-func (p *FSWorkerPlane) markDone() {
-	l, err := checkpoint.LoadLease(p.spec.Paths.Lease)
-	if err != nil || l.Epoch != p.spec.Epoch {
-		return
-	}
-	l.State = checkpoint.LeaseDone
-	l.OwnerPID = os.Getpid()
-	l.RenewedAt = time.Now()
-	if err := checkpoint.SaveLease(p.spec.Paths.Lease, l); err != nil {
-		p.log.Warn("lease done-mark failed (commit record already durable)", "err", err)
-	}
-}
-
-// Close implements WorkerPlane.
-func (p *FSWorkerPlane) Close() error { return nil }

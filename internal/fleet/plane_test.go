@@ -1,145 +1,108 @@
 package fleet
 
 import (
-	"bytes"
+	"context"
 	"log/slog"
-	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"zmapgo/internal/checkpoint"
 	"zmapgo/internal/metrics"
 	"zmapgo/internal/trace"
 )
 
-// TestFSCommitBestEffortDoneMark: the metadata file is the one commit
-// record; the lease done-mark is an optimization. A worker whose
-// done-mark cannot be written must still commit successfully — the
-// coordinator's rerun adoption (already_done) keys off the metadata
-// file, never the lease state.
-func TestFSCommitBestEffortDoneMark(t *testing.T) {
-	dir := t.TempDir()
-	paths := PathsFor(dir, 0, 1, "text")
-	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	spec := &WorkerSpec{FleetID: "t", Shard: 0, Shards: 1, Epoch: 1, Paths: paths}
-	plane := NewFSWorkerPlane(spec, slog.New(slog.DiscardHandler))
+// stubPlane is the minimal ControlPlane for coordinator tests that never
+// reach a worker: it grants nothing durable and records rate shares.
+type stubPlane struct {
+	mu    sync.Mutex
+	rates map[int]float64
+}
 
-	// Fault injection: the lease location is unusable (here: occupied by
-	// a directory, so both the read-back and the atomic save fail). The
-	// commit must tolerate it.
-	if err := os.Mkdir(paths.Lease, 0o755); err != nil {
-		t.Fatal(err)
+func (p *stubPlane) Start(PlaneInfo) error                         { return nil }
+func (p *stubPlane) Grant(*WorkerSpec, *checkpoint.Lease) error    { return nil }
+func (p *stubPlane) WorkerEnv(*WorkerSpec) []string                { return nil }
+func (p *stubPlane) Offer(*WorkerSpec)                             {}
+func (p *stubPlane) TakeExit(shard, epoch int) (code int, ok bool) { return 0, false }
+func (p *stubPlane) Close() error                                  { return nil }
+
+func (p *stubPlane) SetRate(shard int, pps float64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.rates == nil {
+		p.rates = map[int]float64{}
 	}
-	meta := []byte(`{"ok":true}`)
-	if err := plane.Commit(meta); err != nil {
-		t.Fatalf("Commit failed on a lost done-mark: %v", err)
-	}
-	got, err := os.ReadFile(paths.Metadata)
-	if err != nil {
-		t.Fatalf("commit record missing: %v", err)
-	}
-	if !bytes.Equal(got, meta) {
-		t.Fatalf("metadata %q", got)
+	p.rates[shard] = pps
+}
+
+func (p *stubPlane) rate(shard int) float64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.rates[shard]
+}
+
+// TestNilPlaneRejected: the control plane is required; a fleet without
+// one is a config error, never a silent default, and leaves no
+// directory behind.
+func TestNilPlaneRejected(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "fleet")
+	_, err := Run(context.Background(), Config{
+		Dir: dir, Fingerprints: []checkpoint.Fingerprint{slotFingerprint},
+		Binary: "/bin/false",
+	})
+	if err == nil || !strings.Contains(err.Error(), "Plane is required") {
+		t.Fatalf("nil Plane accepted: %v", err)
 	}
 }
 
-// TestFSCommitSkipsForeignEpochDoneMark: a commit landing after the
-// shard was re-granted must not flip the successor's lease terminal.
-func TestFSCommitSkipsForeignEpochDoneMark(t *testing.T) {
-	dir := t.TempDir()
-	paths := PathsFor(dir, 0, 1, "text")
-	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	lease := &checkpoint.Lease{
-		FleetID: "t", ShardIndex: 0, Epoch: 2, WorkerID: "shard-0.epoch-2",
-		State: checkpoint.LeaseRunning, GrantedAt: now, RenewedAt: now, TTLSecs: 5,
-	}
-	if err := checkpoint.SaveLease(paths.Lease, lease); err != nil {
-		t.Fatal(err)
-	}
-	spec := &WorkerSpec{FleetID: "t", Shard: 0, Shards: 1, Epoch: 1, Paths: paths}
-	if err := NewFSWorkerPlane(spec, nil).Commit([]byte("{}")); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	l, err := checkpoint.LoadLease(paths.Lease)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.State != checkpoint.LeaseRunning || l.Epoch != 2 {
-		t.Fatalf("epoch-1 commit rewrote epoch-2 lease: %+v", l)
-	}
-}
-
-// TestReallocateJournalsLostRateWrite is the regression test for the
-// silently-lost rate budget: when a shard's rate-file write fails past
-// the bounded retry, the loss must surface as a first-class journal
-// decision (fleet_rate_write_failed) instead of vanishing into a debug
-// log — and the surviving shards' writes must still land.
-func TestReallocateJournalsLostRateWrite(t *testing.T) {
-	dir := t.TempDir()
+// TestSetAliveMovesBudgetThroughPlane: losing a worker hands its share
+// of the budget to the survivors through the plane, the dead shard keeps
+// its last share until it is live again, and recovery splits the
+// budget evenly once more. Every move is journaled.
+func TestSetAliveMovesBudgetThroughPlane(t *testing.T) {
 	reg := metrics.NewRegistry()
+	plane := &stubPlane{}
 	c := &coordinator{
-		cfg:   Config{Dir: dir, RateBudget: 1000, Format: "text"},
-		log:   slog.New(slog.DiscardHandler),
-		jr:    trace.New(trace.Config{Shards: 1, SampleEvery: -1}),
-		alive: []bool{true, true},
+		cfg:          Config{RateBudget: 1000},
+		log:          slog.New(slog.DiscardHandler),
+		jr:           trace.New(trace.Config{Shards: 1, SampleEvery: -1}),
+		plane:        plane,
+		alive:        []bool{true, true},
+		workersAlive: reg.Gauge("zmapgo_fleet_workers_alive", "test"),
 	}
 	for i := 0; i < 2; i++ {
-		c.rateAlloc = append(c.rateAlloc, reg.GaugeWith("zmapgo_fleet_rate_allocation_pps",
-			"test", "shard", strconv.Itoa(i)))
+		lbl := strconv.Itoa(i)
+		c.workerUp = append(c.workerUp, reg.GaugeWith("zmapgo_fleet_worker_up", "test", "shard", lbl))
+		c.rateAlloc = append(c.rateAlloc, reg.GaugeWith("zmapgo_fleet_rate_allocation_pps", "test", "shard", lbl))
 	}
-	// Shard 0's directory exists; shard 1's does not, so every write
-	// attempt for it fails (the injected fault).
-	if err := os.MkdirAll(ShardDir(dir, 0), 0o755); err != nil {
-		t.Fatal(err)
-	}
-
 	c.mu.Lock()
-	share, alive := c.reallocateLocked("worker_lost")
+	c.reallocateLocked("start")
 	c.mu.Unlock()
-	if share != 500 || alive != 2 {
-		t.Fatalf("share=%v alive=%d, want 500/2", share, alive)
-	}
-	if got := ReadRateFile(PathsFor(dir, 0, 1, "text").Rate); got != 500 {
-		t.Fatalf("surviving shard's rate file holds %v, want 500", got)
+	if plane.rate(0) != 500 || plane.rate(1) != 500 {
+		t.Fatalf("start shares %v/%v, want 500/500", plane.rate(0), plane.rate(1))
 	}
 
-	var lost []trace.JEntry
+	c.setAlive(1, false, "crash")
+	if plane.rate(0) != 1000 {
+		t.Fatalf("survivor's share %v after a loss, want the full 1000", plane.rate(0))
+	}
+	if plane.rate(1) != 500 {
+		t.Fatalf("dead shard's share moved to %v; it keeps its last share", plane.rate(1))
+	}
+
+	c.setAlive(1, true, "spawn")
+	if plane.rate(0) != 500 || plane.rate(1) != 500 {
+		t.Fatalf("recovered shares %v/%v, want 500/500", plane.rate(0), plane.rate(1))
+	}
+	var moves []float64
 	for _, e := range c.jr.Snapshot().Journal {
-		if e.Kind == trace.JFleetRateLost {
-			lost = append(lost, e)
+		if e.Kind == trace.JFleetRateRealloc {
+			moves = append(moves, e.RatePPS)
 		}
 	}
-	if len(lost) != 1 {
-		t.Fatalf("lost rate write journaled %d times, want exactly 1 (shard 1)", len(lost))
-	}
-	if lost[0].Index != 1 || lost[0].Reason != "worker_lost" || lost[0].RatePPS != 500 {
-		t.Fatalf("lost-rate entry misattributed: %+v", lost[0])
-	}
-}
-
-// TestWriteRateFileRetryRecovers: the bounded retry itself — a write
-// that starts failing and then heals (directory appears, as when a
-// shard dir is created concurrently) succeeds without journaling.
-func TestWriteRateFileRetryRecovers(t *testing.T) {
-	dir := t.TempDir()
-	path := PathsFor(dir, 3, 1, "text").Rate
-	done := make(chan error, 1)
-	go func() { done <- writeRateFileRetry(path, 750) }()
-	// Create the shard directory while the retry loop is backing off.
-	time.Sleep(3 * time.Millisecond)
-	if err := os.MkdirAll(ShardDir(dir, 3), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("retry did not recover: %v", err)
-	}
-	if got := ReadRateFile(path); got != 750 {
-		t.Fatalf("rate file holds %v, want 750", got)
+	if len(moves) != 2 || moves[0] != 1000 || moves[1] != 500 {
+		t.Fatalf("journaled reallocations %v, want [1000 500]", moves)
 	}
 }

@@ -10,11 +10,11 @@
 // back to exactly-once and unions metadata into a scan-level document.
 //
 // The package deliberately does not import the public zmap package (zmap
-// imports it): the coordinator speaks to workers only through the
-// filesystem (spec/lease/checkpoint/rate files) and POSIX signals, and
-// the worker-side scan runner lives in zmap. Any binary that calls
-// zmap.FleetWorkerMain at the top of main() can serve as a fleet worker,
-// including test binaries.
+// imports it): the coordinator speaks to workers only through its
+// ControlPlane (the HTTP plane in internal/fleetnet, over the shard
+// files) and POSIX signals, and the worker-side scan runner lives in
+// zmap. Any binary that calls zmap.FleetWorkerMain at the top of main()
+// can serve as a fleet worker, including test binaries.
 package fleet
 
 import (
@@ -24,12 +24,6 @@ import (
 	"path/filepath"
 	"time"
 )
-
-// WorkerSpecEnv is the environment variable the coordinator sets on
-// worker processes: the path to a WorkerSpec JSON document. A binary
-// that finds it set at startup must run the assigned shard and exit (see
-// zmap.FleetWorkerMain) instead of its normal entry point.
-const WorkerSpecEnv = "ZMAPGO_FLEET_WORKER_SPEC"
 
 // SpecFormatVersion identifies the worker spec schema. Version 2
 // carries the scan as an opaque payload (the full zmap.Options) and no
@@ -70,11 +64,6 @@ type WorkerPaths struct {
 	Lease string `json:"lease"`
 	// Checkpoint is the shard's durable scan snapshot.
 	Checkpoint string `json:"checkpoint"`
-	// Rate is the coordinator-written rate cap file (text, pps). The
-	// worker polls it and folds the cap into its limiter at batch
-	// boundaries, which is how a dead worker's budget share moves to
-	// the survivors and moves back on recovery.
-	Rate string `json:"rate"`
 	// Output is this epoch's result file (out.run-<epoch>.<ext>). Each
 	// grant writes a fresh file so a crash cannot torn-append; the merge
 	// stage unions all run files and dedups.
@@ -82,6 +71,11 @@ type WorkerPaths struct {
 	// Metadata is this epoch's end-of-scan summary, written atomically
 	// on success — its existence is the worker's commit record.
 	Metadata string `json:"metadata"`
+	// Spool is the directory a locally spawned worker stages this
+	// epoch's results and checkpoints in before shipping them to the
+	// control plane. The worker removes it on exit; the coordinator
+	// removes it once the worker process is gone, however it ended.
+	Spool string `json:"spool"`
 }
 
 // ShardDir returns the shard's directory under the fleet directory.
@@ -97,16 +91,16 @@ func PathsFor(fleetDir string, shard, epoch int, format string) WorkerPaths {
 		Spec:       filepath.Join(dir, "spec.json"),
 		Lease:      filepath.Join(dir, "lease.json"),
 		Checkpoint: filepath.Join(dir, "scan.ckpt"),
-		Rate:       filepath.Join(dir, "rate.pps"),
 		Output:     filepath.Join(dir, fmt.Sprintf("out.run-%03d.%s", epoch, outputExt(format))),
 		Metadata:   filepath.Join(dir, fmt.Sprintf("meta.run-%03d.json", epoch)),
+		Spool:      filepath.Join(dir, fmt.Sprintf("spool.run-%03d", epoch)),
 	}
 }
 
 // WorkerSpec is the per-grant contract between coordinator and worker:
 // which shard of which fleet, under which lease epoch, scanning what.
-// The coordinator writes it before spawning; the worker loads it from
-// the path in WorkerSpecEnv.
+// The coordinator writes it before spawning; the worker fetches it over
+// the control plane.
 type WorkerSpec struct {
 	FormatVersion int    `json:"format_version"`
 	FleetID       string `json:"fleet_id"`
@@ -120,8 +114,8 @@ type WorkerSpec struct {
 	// Scan is the fleet's scan payload (Config.Scan), passed through
 	// verbatim: the coordinator never interprets it. Its rate is the
 	// worker's ceiling — the full fleet budget, not its share; the live
-	// share arrives through the rate file (Paths.Rate), so the
-	// coordinator can move it both down and up as membership changes.
+	// share rides every lease renewal, so the coordinator can move it
+	// both down and up as membership changes.
 	Scan json.RawMessage `json:"scan"`
 
 	// Resume tells the worker to load Paths.Checkpoint and continue
@@ -138,7 +132,6 @@ type WorkerSpec struct {
 
 	CheckpointInterval time.Duration `json:"checkpoint_interval,omitempty"`
 	HeartbeatInterval  time.Duration `json:"heartbeat_interval,omitempty"`
-	RatePollInterval   time.Duration `json:"rate_poll_interval,omitempty"`
 }
 
 // WorkerID is the human-readable identity riding leases and journals.
@@ -160,22 +153,6 @@ func SaveWorkerSpec(path string, w *WorkerSpec) error {
 		return fmt.Errorf("fleet: write worker spec: %w", err)
 	}
 	return nil
-}
-
-// LoadWorkerSpec reads and validates a spec written by SaveWorkerSpec.
-func LoadWorkerSpec(path string) (*WorkerSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: worker spec: %w", err)
-	}
-	var w WorkerSpec
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("fleet: decode worker spec %s: %w", path, err)
-	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return &w, nil
 }
 
 // Validate checks what a worker must trust before running a grant,

@@ -30,17 +30,19 @@ var ErrNoWork = errors.New("fleetnet: no grant offered")
 // round trip.
 const chunkSize = 256 << 10
 
-// Client is the worker's side of the network control plane — a
-// fleet.WorkerPlane whose durable writes are RPCs against the
-// coordinator. The scan engine works against a private local spool
-// (checkpoint + result files in a temp dir); Sync ships the spool
-// upstream in digest-checked, offset-idempotent chunks, and Commit
-// publishes the epoch's metadata only after the server confirms it
-// holds every result byte.
+// Client is the worker's side of the control plane for one lease
+// epoch: liveness, fencing, rate discovery, checkpoint adoption, result
+// shipping, and the commit record, each an RPC against the coordinator.
+// The scan engine works against a private local spool (checkpoint +
+// result files in WorkerPaths.Spool for a spawned worker, a temp dir
+// for a joined one); Sync ships the spool upstream in
+// digest-checked, offset-idempotent chunks, and Commit publishes the
+// epoch's metadata only after the server confirms it holds every result
+// byte.
 //
 // Every RPC carries the granted epoch; a codeFenced verdict surfaces as
-// a wrapped checkpoint.ErrLeaseFenced, which the worker runtime treats
-// exactly like a filesystem lease fencing.
+// a wrapped checkpoint.ErrLeaseFenced, which tells the worker runtime
+// that the epoch moved on.
 type Client struct {
 	base   string
 	token  string
@@ -57,9 +59,6 @@ type Client struct {
 	out        *os.File
 	rpcTimeout time.Duration
 
-	rateMu sync.Mutex
-	rate   float64
-
 	syncMu   sync.Mutex
 	uploaded int64
 	lastCkpt [sha256.Size]byte
@@ -67,9 +66,9 @@ type Client struct {
 }
 
 // Dial fetches the grant for (shard, epoch) from the coordinator and
-// builds the worker plane for it. The spec RPC is retried with bounded
-// backoff so a worker spawned a beat before the listener settles still
-// joins.
+// builds the worker's client for it. The spec RPC is retried with
+// bounded backoff so a worker spawned a beat before the listener
+// settles still joins.
 func Dial(baseURL, token string, shard, epoch int, logger *slog.Logger) (*Client, error) {
 	c := newClient(baseURL, token, shard, epoch, logger)
 	var spec fleet.WorkerSpec
@@ -87,8 +86,9 @@ func Dial(baseURL, token string, shard, epoch int, logger *slog.Logger) (*Client
 }
 
 // Acquire long-polls the coordinator for an offered grant and builds
-// the plane for it. It returns ErrNoWork when the wait elapsed quietly;
-// connection errors pass through for the caller's backoff.
+// the worker's client for it. It returns ErrNoWork when the wait
+// elapsed quietly; connection errors pass through for the caller's
+// backoff.
 func Acquire(ctx context.Context, baseURL, token string, wait time.Duration, logger *slog.Logger) (*Client, error) {
 	c := newClient(baseURL, token, -1, -1, logger)
 	body, _ := json.Marshal(acquireRequest{WaitMS: wait.Milliseconds()})
@@ -149,13 +149,12 @@ func newClient(baseURL, token string, shard, epoch int, logger *slog.Logger) *Cl
 		log:        logger,
 		hc:         &http.Client{Timeout: 2 * time.Second},
 		rpcTimeout: 2 * time.Second,
-		rate:       -1,
 	}
 }
 
-// adoptSpec finishes construction once the grant is known: validate it
-// as fleet.LoadWorkerSpec would, size the per-RPC timeout off the lease
-// TTL, and lay out the local spool.
+// adoptSpec finishes construction once the grant is known: validate it,
+// size the per-RPC timeout off the lease TTL, and lay out the local
+// spool.
 func (c *Client) adoptSpec(spec *fleet.WorkerSpec) error {
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("fleetnet: grant: %w", err)
@@ -172,7 +171,7 @@ func (c *Client) adoptSpec(spec *fleet.WorkerSpec) error {
 		c.rpcTimeout = t
 		c.hc.Timeout = t
 	}
-	dir, err := os.MkdirTemp("", fmt.Sprintf("zmapgo-fleetnet-s%d-e%d-", spec.Shard, spec.Epoch))
+	dir, err := c.spoolDir(spec)
 	if err != nil {
 		return fmt.Errorf("fleetnet: spool dir: %w", err)
 	}
@@ -182,37 +181,47 @@ func (c *Client) adoptSpec(spec *fleet.WorkerSpec) error {
 	return nil
 }
 
+// spoolDir creates the epoch's local spool. A spawned worker shares the
+// coordinator's filesystem, so it spools in the shard directory, where
+// the coordinator can clean up after a crash; a joined remote worker
+// cannot see that directory and spools under its own temp dir.
+func (c *Client) spoolDir(spec *fleet.WorkerSpec) (string, error) {
+	if c.remote {
+		return os.MkdirTemp("", fmt.Sprintf("zmapgo-fleetnet-s%d-e%d-", spec.Shard, spec.Epoch))
+	}
+	// Mkdir, not MkdirAll: each epoch has one worker, so an existing
+	// spool means a second claimant, whose offsets this one would skew.
+	return spec.Paths.Spool, os.Mkdir(spec.Paths.Spool, 0o700)
+}
+
 // Spec returns the granted worker spec (valid after Dial/Acquire).
 func (c *Client) Spec() *fleet.WorkerSpec { return c.spec }
 
 // ---------------------------------------------------------------------
-// fleet.WorkerPlane implementation.
+// The worker's protocol.
 // ---------------------------------------------------------------------
 
-// Adopt implements fleet.WorkerPlane: the first renewal, retried a few
-// beats so a listener mid-hiccup does not kill a fresh worker.
-func (c *Client) Adopt(pid int, now time.Time) error {
-	return c.rpcRetry("adopt", 4, func() error {
-		_, err := c.renewOnce(pid)
+// Adopt is the first renewal, retried a few beats so a listener
+// mid-hiccup does not kill a fresh worker. It proves liveness to the
+// coordinator, fences this worker out (checkpoint.ErrLeaseFenced,
+// wrapped) if the shard has already been re-granted, and returns the
+// shard's current rate share in pps (0 = no cap).
+func (c *Client) Adopt(pid int) (float64, error) {
+	var rate float64
+	err := c.rpcRetry("adopt", 4, func() error {
+		var err error
+		rate, err = c.Renew(pid)
 		return err
 	})
+	return rate, err
 }
 
-// Renew implements fleet.WorkerPlane: one heartbeat, one RPC — the
-// caller's heartbeat loop is the retry policy, and the self-fence clock
-// (WorkerSpec.LeaseTTL) bounds how long failures are tolerated.
-func (c *Client) Renew(pid int, now time.Time) (float64, error) {
-	rate, err := c.renewOnce(pid)
-	if err != nil {
-		return -1, err
-	}
-	c.rateMu.Lock()
-	c.rate = rate
-	c.rateMu.Unlock()
-	return rate, nil
-}
-
-func (c *Client) renewOnce(pid int) (float64, error) {
+// Renew is one heartbeat, one RPC — the caller's heartbeat loop is the
+// retry policy, and the self-fence clock (WorkerSpec.LeaseTTL) bounds
+// how long failures are tolerated. It returns the shard's current rate
+// share in pps (0 = no cap); a wrapped checkpoint.ErrLeaseFenced means
+// the epoch moved on and the worker must stop scanning.
+func (c *Client) Renew(pid int) (float64, error) {
 	var resp renewResponse
 	err := c.doJSON(http.MethodPost, pathRenew,
 		renewRequest{Shard: c.shard, Epoch: c.epoch, PID: pid, Remote: c.remote}, &resp)
@@ -222,21 +231,12 @@ func (c *Client) renewOnce(pid int) (float64, error) {
 	return resp.RatePPS, nil
 }
 
-// RateCap implements fleet.WorkerPlane: the share piggybacked on the
-// last successful heartbeat (no extra round trip). Negative until one
-// arrives, which callers treat as "no update yet".
-func (c *Client) RateCap() float64 {
-	c.rateMu.Lock()
-	defer c.rateMu.Unlock()
-	return c.rate
-}
-
-// CheckpointPath implements fleet.WorkerPlane: the engine snapshots
-// into the private spool; Sync ships it upstream.
+// CheckpointPath is the local file the scan engine snapshots into: a
+// private spool that Sync ships upstream.
 func (c *Client) CheckpointPath() string { return c.ckptPath }
 
-// LoadCheckpoint implements fleet.WorkerPlane: fetch the coordinator's
-// durable snapshot for this shard (204 = fresh start).
+// LoadCheckpoint fetches the coordinator's durable snapshot for this
+// shard, or (nil, nil) when none exists (204 = fresh start).
 func (c *Client) LoadCheckpoint() (*checkpoint.Snapshot, error) {
 	q := url.Values{"shard": {strconv.Itoa(c.shard)}, "epoch": {strconv.Itoa(c.epoch)}}
 	var snap *checkpoint.Snapshot
@@ -275,8 +275,8 @@ func (c *Client) LoadCheckpoint() (*checkpoint.Snapshot, error) {
 	return snap, nil
 }
 
-// OpenResults implements fleet.WorkerPlane: the engine writes result
-// rows to the local spool file; Sync ships them.
+// OpenResults opens this epoch's result stream: the engine writes
+// result rows to the local spool file; Sync ships them.
 func (c *Client) OpenResults() (io.WriteCloser, error) {
 	f, err := os.OpenFile(c.spoolPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -286,8 +286,8 @@ func (c *Client) OpenResults() (io.WriteCloser, error) {
 	return f, nil
 }
 
-// Sync implements fleet.WorkerPlane: make the coordinator's durable
-// view catch up with local progress. Ordering is the correctness core:
+// Sync makes the coordinator's durable view catch up with local
+// progress. Ordering is the correctness core:
 // the local checkpoint is read FIRST, then the spool is shipped through
 // its CURRENT size, then the checkpoint is uploaded. Because the engine
 // flushes result rows before writing a checkpoint, spool-size-now ≥
@@ -404,8 +404,9 @@ func (c *Client) uploadSpoolLocked() error {
 	return nil
 }
 
-// Commit implements fleet.WorkerPlane: final Sync, then publish the
-// metadata document with the complete run file's length and digest.
+// Commit publishes the epoch's metadata document — the shard's atomic
+// completion record: final Sync, then the metadata with the complete
+// run file's length and digest.
 // The server applies it atomically and idempotently; a codeConflict
 // verdict (lost chunks) triggers one more Sync and a retry.
 func (c *Client) Commit(metadata []byte) error {
@@ -432,8 +433,7 @@ func (c *Client) Commit(metadata []byte) error {
 	return err
 }
 
-// Close implements fleet.WorkerPlane: drop the local spool without
-// committing.
+// Close drops the local spool without committing.
 func (c *Client) Close() error {
 	if c.out != nil {
 		c.out.Close()
@@ -488,7 +488,7 @@ func decodeError(resp *http.Response) error {
 	if body.Code == "" {
 		body.Code = codeConflict
 		if resp.StatusCode >= 500 {
-			body.Code = "server_error"
+			body.Code = codeServerError
 		}
 	}
 	return &wireError{Status: resp.StatusCode, Code: body.Code, Detail: body.Detail}

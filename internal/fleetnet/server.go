@@ -30,9 +30,10 @@ const (
 	maxCommitBody = 64 << 20
 )
 
-// ServerOptions configures the network control plane's listener.
+// ServerOptions configures the control plane's listener.
 type ServerOptions struct {
-	// Listen is the bind address (host:port; port 0 picks a free one).
+	// Listen is the bind address (host:port; default 127.0.0.1:0, and
+	// port 0 picks a free one).
 	Listen string
 	// Advertise overrides the URL published to workers (WorkerEnv,
 	// OnListen); defaults to http://<bound address>.
@@ -46,29 +47,27 @@ type ServerOptions struct {
 	OnListen func(url string)
 }
 
-// Server is the HTTP/JSON control plane: a fencing facade over the same
-// shard-directory files the filesystem plane uses. It implements
-// fleet.ControlPlane (grants still land as spec+lease files, so the
-// fleet directory stays byte-compatible) and fleet.RemotePlane (grants
-// can be offered to joining fleet-worker processes over /v1/acquire).
+// Server is the fleet's control plane (fleet.ControlPlane): an
+// HTTP/JSON fencing facade over the shard-directory files. Grants land
+// as spec+lease files, locally spawned workers find them through
+// WorkerEnv, and joining fleet-worker processes acquire offered grants
+// over /v1/acquire.
 //
-// Every mutating RPC is epoch-fenced server-side: an RPC carrying any
-// epoch other than the shard's current one is rejected with codeFenced
-// and journaled, so a partitioned worker's late heartbeat or result
-// upload can never corrupt a re-granted shard.
+// Every shard-scoped RPC names a shard inside the fleet and an epoch of
+// at least 1, or is refused as a bad request. It is then epoch-fenced:
+// an RPC carrying any epoch other than the shard's current one is
+// rejected with codeFenced and journaled, so a partitioned worker's late
+// heartbeat or result upload can never corrupt a re-granted shard.
 type Server struct {
 	opts ServerOptions
 	info fleet.PlaneInfo
 	log  *slog.Logger
 
-	ln   net.Listener
-	srv  *http.Server
-	url  string // advertised base URL
-	once sync.Once
+	ln  net.Listener
+	srv *http.Server
+	url string // advertised base URL
 
-	mu     sync.Mutex
-	shards map[int]*netShard
-	exits  map[[2]int]int
+	shards []*netShard // one per shard, allocated at Start
 	offers chan *fleet.WorkerSpec
 
 	mRPCs    *metrics.Counter
@@ -80,28 +79,27 @@ type Server struct {
 
 // netShard serializes one shard's server-side state transitions: grant,
 // renew, result append, and commit all hold its lock, which closes the
-// load-modify-save race between a heartbeat and a concurrent re-grant
-// that the filesystem plane merely narrows.
+// load-modify-save race between a heartbeat and a concurrent re-grant.
 type netShard struct {
 	mu      sync.Mutex
 	epoch   int // current granted epoch; -1 until known
 	spec    *fleet.WorkerSpec
 	out     *os.File // open run file for the current epoch
 	outSize int64
+	rate    float64 // rate share answered on every renewal (0 = no cap)
+	// exitEpoch/exitCode hold a joined worker's exit report for the
+	// current epoch until TakeExit consumes it (exitEpoch 0 = none).
+	exitEpoch int
+	exitCode  int
 }
 
-// NewServer builds the network control plane; Start binds it.
+// NewServer builds the control plane; Start binds it.
 func NewServer(opts ServerOptions) *Server {
 	return &Server{
 		opts:   opts,
-		shards: make(map[int]*netShard),
-		exits:  make(map[[2]int]int),
 		offers: make(chan *fleet.WorkerSpec, 64),
 	}
 }
-
-// Name implements fleet.ControlPlane.
-func (s *Server) Name() string { return "http" }
 
 // URL returns the advertised base URL (valid after Start).
 func (s *Server) URL() string { return s.url }
@@ -113,6 +111,10 @@ func (s *Server) Start(info fleet.PlaneInfo) error {
 	s.log = info.Logger
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
+	}
+	s.shards = make([]*netShard, info.Workers)
+	for i := range s.shards {
+		s.shards[i] = &netShard{epoch: -1}
 	}
 	if reg := info.Metrics; reg != nil {
 		s.mRPCs = reg.Counter("zmapgo_fleetnet_rpcs_total",
@@ -170,12 +172,11 @@ func (s *Server) Start(info fleet.PlaneInfo) error {
 	return nil
 }
 
-// Grant implements fleet.ControlPlane: durably publish the spec and the
-// fencing lease exactly like the filesystem plane, then swap the
-// shard's in-memory epoch so in-flight RPCs from the previous epoch
-// fence immediately.
+// Grant implements fleet.ControlPlane: durably publish the spec, then
+// the fencing lease, then swap the shard's in-memory epoch so in-flight
+// RPCs from the previous epoch fence immediately.
 func (s *Server) Grant(spec *fleet.WorkerSpec, lease *checkpoint.Lease) error {
-	sh := s.shard(spec.Shard)
+	sh := s.shards[spec.Shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := fleet.SaveWorkerSpec(spec.Paths.Spec, spec); err != nil {
@@ -194,8 +195,8 @@ func (s *Server) Grant(spec *fleet.WorkerSpec, lease *checkpoint.Lease) error {
 	return nil
 }
 
-// WorkerEnv implements fleet.ControlPlane: a locally-spawned network
-// worker finds its grant through the join URL plus shard/epoch.
+// WorkerEnv implements fleet.ControlPlane: a locally-spawned worker
+// finds its grant through the join URL plus shard/epoch.
 func (s *Server) WorkerEnv(spec *fleet.WorkerSpec) []string {
 	return []string{
 		JoinEnv + "=" + s.url,
@@ -205,7 +206,7 @@ func (s *Server) WorkerEnv(spec *fleet.WorkerSpec) []string {
 	}
 }
 
-// Offer implements fleet.RemotePlane: make the grant acquirable by a
+// Offer implements fleet.ControlPlane: make the grant acquirable by a
 // joining worker. Offers are best-effort — the coordinator re-offers a
 // grant that sits unadopted — so a full queue sheds the oldest entry.
 func (s *Server) Offer(spec *fleet.WorkerSpec) {
@@ -224,16 +225,26 @@ func (s *Server) Offer(spec *fleet.WorkerSpec) {
 	}
 }
 
-// TakeExit implements fleet.RemotePlane: consume a joined worker's
+// TakeExit implements fleet.ControlPlane: consume a joined worker's
 // reported exit code for the epoch, if one arrived.
 func (s *Server) TakeExit(shard, epoch int) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	code, ok := s.exits[[2]int{shard, epoch}]
-	if ok {
-		delete(s.exits, [2]int{shard, epoch})
+	sh := s.shards[shard]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.exitEpoch != epoch {
+		return 0, false
 	}
-	return code, ok
+	sh.exitEpoch = 0
+	return sh.exitCode, true
+}
+
+// SetRate implements fleet.ControlPlane: the next renewal of the shard
+// answers with pps.
+func (s *Server) SetRate(shard int, pps float64) {
+	sh := s.shards[shard]
+	sh.mu.Lock()
+	sh.rate = pps
+	sh.mu.Unlock()
 }
 
 // Close implements fleet.ControlPlane.
@@ -241,8 +252,6 @@ func (s *Server) Close() error {
 	if s.srv != nil {
 		s.srv.Close()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		if sh.out != nil {
@@ -252,17 +261,6 @@ func (s *Server) Close() error {
 		sh.mu.Unlock()
 	}
 	return nil
-}
-
-func (s *Server) shard(i int) *netShard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sh, ok := s.shards[i]
-	if !ok {
-		sh = &netShard{epoch: -1}
-		s.shards[i] = sh
-	}
-	return sh
 }
 
 // currentEpoch resolves the shard's live epoch under sh.mu. When the
@@ -332,13 +330,31 @@ func (s *Server) fence(w http.ResponseWriter, rpc string, shard, gotEpoch, curEp
 		fmt.Sprintf("shard %d epoch %d superseded (current %d)", shard, gotEpoch, curEpoch))
 }
 
-func shardEpochQuery(r *http.Request) (shard, epoch int, err error) {
+// target checks the (shard, epoch) an RPC names before any state is
+// touched: the shard must be inside the fleet and the epoch a possible
+// grant (epochs start at 1). Every shard-scoped handler calls it, and
+// its shard is then safe to index s.shards with. A shard not granted in
+// this incarnation and without a lease on disk has current epoch -1, so
+// it fences every epoch that passes here.
+func (s *Server) target(shard, epoch int) (*netShard, error) {
+	if shard < 0 || shard >= len(s.shards) {
+		return nil, fmt.Errorf("shard %d outside the fleet's %d", shard, len(s.shards))
+	}
+	if epoch < 1 {
+		return nil, fmt.Errorf("epoch %d never granted (epochs start at 1)", epoch)
+	}
+	return s.shards[shard], nil
+}
+
+// queryTarget parses and checks the shard= and epoch= query parameters.
+func (s *Server) queryTarget(r *http.Request) (sh *netShard, shard, epoch int, err error) {
 	shard, err1 := strconv.Atoi(r.URL.Query().Get("shard"))
 	epoch, err2 := strconv.Atoi(r.URL.Query().Get("epoch"))
-	if err1 != nil || err2 != nil || shard < 0 {
-		return 0, 0, fmt.Errorf("want integer shard= and epoch=")
+	if err1 != nil || err2 != nil {
+		return nil, 0, 0, fmt.Errorf("want integer shard= and epoch=")
 	}
-	return shard, epoch, nil
+	sh, err = s.target(shard, epoch)
+	return sh, shard, epoch, err
 }
 
 // ---------------------------------------------------------------------
@@ -346,12 +362,11 @@ func shardEpochQuery(r *http.Request) (shard, epoch int, err error) {
 // ---------------------------------------------------------------------
 
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
-	shard, epoch, err := shardEpochQuery(r)
+	sh, shard, epoch, err := s.queryTarget(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	sh := s.shard(shard)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur := s.currentEpoch(sh, shard)
@@ -368,6 +383,11 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
+	sh, err := s.target(req.Shard, req.Epoch)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
+		return
+	}
 	pid := req.PID
 	if req.Remote {
 		// Remote pids are recorded negated so a restarted coordinator's
@@ -379,7 +399,6 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 			pid = -1
 		}
 	}
-	sh := s.shard(req.Shard)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur := s.currentEpoch(sh, req.Shard)
@@ -393,19 +412,18 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 			s.fence(w, "renew", req.Shard, req.Epoch, cur)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, codeConflict, err.Error())
+		writeError(w, http.StatusInternalServerError, codeServerError, err.Error())
 		return
 	}
-	writeJSON(w, renewResponse{RatePPS: fleet.ReadRateFile(paths.Rate)})
+	writeJSON(w, renewResponse{RatePPS: sh.rate})
 }
 
 func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
-	shard, epoch, err := shardEpochQuery(r)
+	sh, shard, epoch, err := s.queryTarget(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	sh := s.shard(shard)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur := s.currentEpoch(sh, shard)
@@ -423,7 +441,7 @@ func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
-	shard, epoch, err := shardEpochQuery(r)
+	sh, shard, epoch, err := s.queryTarget(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
@@ -438,7 +456,6 @@ func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "checkpoint not a snapshot: "+err.Error())
 		return
 	}
-	sh := s.shard(shard)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur := s.currentEpoch(sh, shard)
@@ -467,14 +484,14 @@ func (s *Server) handleCheckpointPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := atomicWrite(paths.Checkpoint, data); err != nil {
-		writeError(w, http.StatusInternalServerError, codeConflict, err.Error())
+		writeError(w, http.StatusInternalServerError, codeServerError, err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	shard, epoch, err := shardEpochQuery(r)
+	sh, shard, epoch, err := s.queryTarget(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
@@ -496,7 +513,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sh := s.shard(shard)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur := s.currentEpoch(sh, shard)
@@ -505,7 +521,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.openOutLocked(sh, shard, epoch); err != nil {
-		writeError(w, http.StatusInternalServerError, codeConflict, err.Error())
+		writeError(w, http.StatusInternalServerError, codeServerError, err.Error())
 		return
 	}
 	switch {
@@ -513,7 +529,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		n, err := sh.out.Write(chunk)
 		sh.outSize += int64(n)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeConflict, err.Error())
+			writeError(w, http.StatusInternalServerError, codeServerError, err.Error())
 			return
 		}
 		if s.mBytes != nil {
@@ -564,7 +580,11 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	sh := s.shard(req.Shard)
+	sh, err := s.target(req.Shard, req.Epoch)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
+		return
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur := s.currentEpoch(sh, req.Shard)
@@ -580,7 +600,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	}
 	size, digest, err := fileDigest(paths.Output)
 	if err != nil && !os.IsNotExist(err) {
-		writeError(w, http.StatusInternalServerError, codeConflict, err.Error())
+		writeError(w, http.StatusInternalServerError, codeServerError, err.Error())
 		return
 	}
 	if size != req.Size || (req.Size > 0 && digest != req.SHA256) {
@@ -597,7 +617,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		sh.out = nil
 	}
 	if err := atomicWrite(paths.Metadata, req.Metadata); err != nil {
-		writeError(w, http.StatusInternalServerError, codeConflict, err.Error())
+		writeError(w, http.StatusInternalServerError, codeServerError, err.Error())
 		return
 	}
 	s.count(s.mCommits)
@@ -606,8 +626,9 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		Index:  req.Shard,
 		Detail: fmt.Sprintf("epoch %d: %d bytes", req.Epoch, req.Size),
 	})
-	// Done-mark is advisory (the metadata file IS the commit record);
-	// mirror the filesystem plane's logged-not-fatal policy.
+	// Done-mark is advisory (the metadata file IS the commit record):
+	// its failure is logged, not fatal, because a restarted coordinator
+	// adopts the shard as finished on the commit record alone.
 	if l, err := checkpoint.LoadLease(paths.Lease); err == nil && l.Epoch == req.Epoch {
 		l.State = checkpoint.LeaseDone
 		l.RenewedAt = time.Now()
@@ -637,7 +658,7 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 			// A re-offered grant may have been superseded while queued;
 			// hand out only grants that are still the shard's current
 			// epoch.
-			sh := s.shard(spec.Shard)
+			sh := s.shards[spec.Shard]
 			sh.mu.Lock()
 			cur := s.currentEpoch(sh, spec.Shard)
 			sh.mu.Unlock()
@@ -667,9 +688,21 @@ func (s *Server) handleExit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	s.mu.Lock()
-	s.exits[[2]int{req.Shard, req.Epoch}] = req.Code
-	s.mu.Unlock()
+	sh, err := s.target(req.Shard, req.Epoch)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
+		return
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	// Only the current epoch's report can still steer the coordinator
+	// (TakeExit asks for it); a straggler's report is fenced like any
+	// other stale RPC, and one slot per shard bounds what is held.
+	if cur := s.currentEpoch(sh, req.Shard); req.Epoch != cur {
+		s.fence(w, "exit", req.Shard, req.Epoch, cur)
+		return
+	}
+	sh.exitEpoch, sh.exitCode = req.Epoch, req.Code
 	s.journal(trace.JEntry{
 		Kind:   trace.JFleetNetExit,
 		Index:  req.Shard,

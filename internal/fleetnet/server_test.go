@@ -9,9 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -52,8 +54,7 @@ func newTestServer(t *testing.T, token string) (*Server, *journalSink, string) {
 	js := &journalSink{}
 	srv := NewServer(ServerOptions{Token: token})
 	err := srv.Start(fleet.PlaneInfo{
-		Dir: dir, Workers: 2, Format: "text", FleetID: "net-test",
-		LeaseTTL: time.Second, Journal: js.add,
+		Dir: dir, Workers: 2, Format: "text", Journal: js.add,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,24 +76,30 @@ var testFingerprint = checkpoint.Fingerprint{
 // coordinator would, returning the spec and its fingerprint.
 func grantShard(t *testing.T, srv *Server, dir string, epoch int) (*fleet.WorkerSpec, checkpoint.Fingerprint) {
 	t.Helper()
-	paths := fleet.PathsFor(dir, 0, epoch, "text")
+	return grant(t, srv, dir, 0, epoch), testFingerprint
+}
+
+// grant grants (shard, epoch) of the two-shard test fleet.
+func grant(t *testing.T, srv *Server, dir string, shard, epoch int) *fleet.WorkerSpec {
+	t.Helper()
+	paths := fleet.PathsFor(dir, shard, epoch, "text")
 	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	spec := &fleet.WorkerSpec{
-		FleetID: "net-test", Shard: 0, Shards: 1, Epoch: epoch,
+		FleetID: "net-test", Shard: shard, Shards: 2, Epoch: epoch,
 		Scan: json.RawMessage(`{"ranges":["10.9.0.0/28"],"seed":5}`), Paths: paths, LeaseTTL: time.Second,
 	}
 	now := time.Now()
 	lease := &checkpoint.Lease{
-		FleetID: "net-test", ShardIndex: 0, Epoch: epoch,
+		FleetID: "net-test", ShardIndex: shard, Epoch: epoch,
 		WorkerID: spec.WorkerID(), State: checkpoint.LeaseGranted,
 		GrantedAt: now, RenewedAt: now, TTLSecs: 5, Fingerprint: testFingerprint,
 	}
 	if err := srv.Grant(spec, lease); err != nil {
 		t.Fatal(err)
 	}
-	return spec, testFingerprint
+	return spec
 }
 
 // postChunk uploads one result chunk and returns the HTTP status plus
@@ -179,7 +186,7 @@ func TestServerFencesStaleEpoch(t *testing.T) {
 	// Stale renewal, through the client so the fenced verdict's error
 	// mapping is exercised too.
 	c := newClient(srv.URL(), "", 0, 1, nil)
-	if _, err := c.renewOnce(os.Getpid()); !errors.Is(err, checkpoint.ErrLeaseFenced) {
+	if _, err := c.Renew(os.Getpid()); !errors.Is(err, checkpoint.ErrLeaseFenced) {
 		t.Fatalf("stale renew error = %v, want ErrLeaseFenced", err)
 	}
 	// Stale commit.
@@ -356,6 +363,46 @@ func TestClientRewindsOnGapVerdict(t *testing.T) {
 	}
 }
 
+// TestClientRetriesServerFailure: a write that fails on the server is
+// a 500 server_error, which the client retries like a dropped
+// connection instead of taking it as a verdict. The lease file vanishes
+// for a moment, so a renewal cannot be saved; Adopt must ride it out.
+func TestClientRetriesServerFailure(t *testing.T) {
+	srv, _, dir := newTestServer(t, "")
+	spec, _ := grantShard(t, srv, dir, 1)
+	lease, err := os.ReadFile(spec.Paths.Lease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(spec.Paths.Lease); err != nil {
+		t.Fatal(err)
+	}
+	rec := serve(srv, http.MethodPost, pathRenew, []byte(`{"shard":0,"epoch":1,"pid":1}`))
+	var body errorResponse
+	json.Unmarshal(rec.Body.Bytes(), &body)
+	if rec.Code != http.StatusInternalServerError || body.Code != codeServerError {
+		t.Fatalf("renew over a missing lease: %d %q, want 500 %q", rec.Code, body.Code, codeServerError)
+	}
+
+	c := newClient(srv.URL(), "", 0, 1, nil)
+	if err := c.adoptSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	restored := make(chan error, 1)
+	go func() {
+		time.Sleep(20 * time.Millisecond) // the first attempt fails
+		restored <- os.WriteFile(spec.Paths.Lease+".tmp", lease, 0o644)
+		os.Rename(spec.Paths.Lease+".tmp", spec.Paths.Lease)
+	}()
+	if _, err := c.Adopt(1); err != nil {
+		t.Fatalf("adopt gave up on a transient server failure: %v", err)
+	}
+	if err := <-restored; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServerRejectsBadToken: every RPC must carry the fleet token.
 func TestServerRejectsBadToken(t *testing.T) {
 	srv, _, dir := newTestServer(t, "s3cret")
@@ -417,4 +464,207 @@ func TestAcquireValidatesGrant(t *testing.T) {
 			}
 		})
 	}
+}
+
+// commitBody encodes a commit of the given run-file bytes.
+func commitBody(shard, epoch int, rows, meta []byte) []byte {
+	sum := sha256.Sum256(rows)
+	body, _ := json.Marshal(commitRequest{Shard: shard, Epoch: epoch, Size: int64(len(rows)),
+		SHA256: hex.EncodeToString(sum[:]), Metadata: meta})
+	return body
+}
+
+// serve drives the server's mux in-process and returns the recorded
+// response.
+func serve(srv *Server, method, target string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, target, bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	srv.srv.Handler.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestServerCommitBestEffortDoneMark: the metadata file is the one
+// commit record; the lease done-mark is an optimization. A commit whose
+// done-mark cannot be written must still succeed — the coordinator's
+// rerun adoption (already_done) keys off the metadata file, never the
+// lease state.
+func TestServerCommitBestEffortDoneMark(t *testing.T) {
+	srv, _, dir := newTestServer(t, "")
+	spec, _ := grantShard(t, srv, dir, 1)
+	rows := []byte("10.9.0.1,80\n")
+	if code, _ := postChunk(t, srv.URL(), 1, 0, rows, ""); code != 200 {
+		t.Fatalf("upload: %d", code)
+	}
+	// Fault injection: the lease location is unusable (here: occupied by
+	// a directory, so both the read-back and the atomic save fail). The
+	// commit must tolerate it.
+	if err := os.Remove(spec.Paths.Lease); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(spec.Paths.Lease, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	meta := []byte(`{"ok":true}`)
+	if rec := serve(srv, http.MethodPost, pathCommit, commitBody(0, 1, rows, meta)); rec.Code != http.StatusNoContent {
+		t.Fatalf("commit failed on a lost done-mark: %d %s", rec.Code, rec.Body)
+	}
+	got, err := os.ReadFile(spec.Paths.Metadata)
+	if err != nil {
+		t.Fatalf("commit record missing: %v", err)
+	}
+	if !bytes.Equal(got, meta) {
+		t.Fatalf("metadata %q", got)
+	}
+}
+
+// TestServerCommitSkipsForeignEpochDoneMark: a commit landing after the
+// shard was re-granted is fenced, writes no commit record, and must not
+// flip the successor's lease terminal.
+func TestServerCommitSkipsForeignEpochDoneMark(t *testing.T) {
+	srv, js, dir := newTestServer(t, "")
+	grantShard(t, srv, dir, 1)
+	rows := []byte("10.9.0.1,80\n")
+	if code, _ := postChunk(t, srv.URL(), 1, 0, rows, ""); code != 200 {
+		t.Fatalf("upload: %d", code)
+	}
+	next, _ := grantShard(t, srv, dir, 2)
+	c := newClient(srv.URL(), "", 0, 2, nil)
+	if _, err := c.Renew(os.Getpid()); err != nil {
+		t.Fatalf("successor renewal: %v", err)
+	}
+
+	if rec := serve(srv, http.MethodPost, pathCommit, commitBody(0, 1, rows, []byte("{}"))); rec.Code != http.StatusConflict {
+		t.Fatalf("stale-epoch commit answered %d, want 409", rec.Code)
+	}
+	if js.count(trace.JFleetNetFence) != 1 {
+		t.Fatalf("stale commit journaled %d fences, want 1", js.count(trace.JFleetNetFence))
+	}
+	if _, err := os.Stat(fleet.PathsFor(dir, 0, 1, "text").Metadata); err == nil {
+		t.Fatal("stale-epoch commit wrote a commit record")
+	}
+	l, err := checkpoint.LoadLease(next.Paths.Lease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.State != checkpoint.LeaseRunning || l.Epoch != 2 {
+		t.Fatalf("epoch-1 commit rewrote epoch-2 lease: %+v", l)
+	}
+}
+
+// TestServerRenewCarriesRate: the rate share the coordinator sets
+// rides the next renewal of that shard, from memory. When the
+// coordinator loses a worker it hands the survivor the whole budget
+// (see fleet's TestSetAliveMovesBudgetThroughPlane), and the survivor's
+// next renewal answers with it.
+func TestServerRenewCarriesRate(t *testing.T) {
+	srv, _, dir := newTestServer(t, "")
+	grant(t, srv, dir, 0, 1)
+	grant(t, srv, dir, 1, 1)
+	renew := func(shard int) float64 {
+		t.Helper()
+		pps, err := newClient(srv.URL(), "", shard, 1, nil).Renew(os.Getpid())
+		if err != nil {
+			t.Fatalf("shard %d renewal: %v", shard, err)
+		}
+		return pps
+	}
+	if got := renew(0); got != 0 {
+		t.Fatalf("renewal before any SetRate answered %v, want 0 (no cap)", got)
+	}
+
+	srv.SetRate(0, 400)
+	srv.SetRate(1, 600)
+	if a, b := renew(0), renew(1); a != 400 || b != 600 {
+		t.Fatalf("renewals answered %v/%v, want 400/600", a, b)
+	}
+
+	// Shard 1 is lost: the survivor gets the full budget, the dead
+	// shard's slot keeps its last share until it is live again.
+	srv.SetRate(0, 1000)
+	if got := renew(0); got != 1000 {
+		t.Fatalf("survivor's renewal answered %v, want the full 1000", got)
+	}
+	if got := renew(1); got != 600 {
+		t.Fatalf("lost shard's share changed to %v", got)
+	}
+	// A re-grant keeps the share: a respawned worker starts at it.
+	grant(t, srv, dir, 1, 2)
+	pps, err := newClient(srv.URL(), "", 1, 2, nil).Renew(os.Getpid())
+	if err != nil || pps != 600 {
+		t.Fatalf("respawned worker's first renewal: %v, %v", pps, err)
+	}
+}
+
+// TestServerRejectsInvalidTarget: every shard-scoped RPC is checked
+// before it touches state. A shard outside the fleet or an epoch below 1
+// is a bad request (400), never a 500 and never a fresh per-shard slot;
+// a valid but ungranted shard fences every epoch (409). None of it
+// leaves a file behind — in particular no out.run--01 file for the
+// merge glob to pick up.
+func TestServerRejectsInvalidTarget(t *testing.T) {
+	snap, _ := json.Marshal(&checkpoint.Snapshot{FormatVersion: checkpoint.FormatVersion,
+		Tool: "zmapgo", WrittenAt: time.Now(), Phase: "send", Progress: []uint64{1},
+		Fingerprint: testFingerprint})
+	rpcs := []struct {
+		name, method, path string
+		body               func(shard, epoch int) []byte
+	}{
+		{"spec", http.MethodGet, pathSpec, nil},
+		{"renew", http.MethodPost, pathRenew, func(shard, epoch int) []byte {
+			b, _ := json.Marshal(renewRequest{Shard: shard, Epoch: epoch, PID: 1})
+			return b
+		}},
+		{"checkpoint_get", http.MethodGet, pathCheckpoint, nil},
+		{"checkpoint_put", http.MethodPut, pathCheckpoint, func(int, int) []byte { return snap }},
+		{"result", http.MethodPost, pathResult, func(int, int) []byte { return []byte("10.9.0.1,80\n") }},
+		{"commit", http.MethodPost, pathCommit, func(shard, epoch int) []byte {
+			return commitBody(shard, epoch, nil, []byte("{}"))
+		}},
+		{"exit", http.MethodPost, pathExit, func(shard, epoch int) []byte {
+			b, _ := json.Marshal(exitRequest{Shard: shard, Epoch: epoch, Code: 0})
+			return b
+		}},
+	}
+	cases := []struct {
+		shard, epoch, want int
+	}{
+		{0, -1, http.StatusBadRequest},
+		{0, 0, http.StatusBadRequest},
+		{1, -3, http.StatusBadRequest},
+		{-3, 1, http.StatusBadRequest},
+		{2, 1, http.StatusBadRequest},
+		{7, 1, http.StatusBadRequest},
+		{1000, 1, http.StatusBadRequest},
+		{0, 1, http.StatusConflict}, // inside the fleet, never granted
+		{1, 5, http.StatusConflict},
+	}
+	srv, _, dir := newTestServer(t, "")
+	for shard := 0; shard < 2; shard++ { // fleet.Run creates these before Start
+		if err := os.MkdirAll(fleet.ShardDir(dir, shard), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rpc := range rpcs {
+		for _, tc := range cases {
+			target := fmt.Sprintf("%s?shard=%d&epoch=%d&offset=0", rpc.path, tc.shard, tc.epoch)
+			var body []byte
+			if rpc.body != nil {
+				body = rpc.body(tc.shard, tc.epoch)
+			}
+			rec := serve(srv, rpc.method, target, body)
+			if rec.Code != tc.want {
+				t.Errorf("%s shard=%d epoch=%d: %d %s, want %d",
+					rpc.name, tc.shard, tc.epoch, rec.Code, strings.TrimSpace(rec.Body.String()), tc.want)
+			}
+		}
+	}
+	if len(srv.shards) != 2 {
+		t.Errorf("server holds %d shard slots for a 2-shard fleet", len(srv.shards))
+	}
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			t.Errorf("refused RPCs left %s in the fleet directory", path)
+		}
+		return err
+	})
 }

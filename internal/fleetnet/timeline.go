@@ -1,11 +1,11 @@
-// Package fleetnet is the network control plane for the fleet
-// coordinator (internal/fleet): the coordinator serves the shard-dir
-// state machine over HTTP/JSON, and workers join over TCP instead of a
-// shared filesystem. The server is a fencing facade over the same
-// durable files the filesystem plane uses — lease, checkpoint, rate,
-// per-epoch run and metadata files — so merge, crash-resume, and the
-// decision journal are transport-independent, and a fleet directory
-// written through this plane is byte-compatible with PR 8 directories.
+// Package fleetnet is the fleet coordinator's control plane
+// (internal/fleet), the only one: the coordinator serves the shard-dir
+// state machine over HTTP/JSON — on loopback for locally spawned
+// workers, on any address for remote ones — and every worker joins over
+// TCP. The server is a fencing facade over the fleet directory's
+// durable files — spec, lease, checkpoint, per-epoch run and metadata
+// files — so merge, crash-resume, and the decision journal read the
+// same files the server writes.
 //
 // The package also ships the fault injector the acceptance suite runs
 // the plane through: a seeded, deterministic ChaosProxy that drops,

@@ -1,14 +1,14 @@
 package fleetnet
 
 // wire.go names everything that crosses the TCP boundary: environment
-// variables a spawned network worker finds its grant through, the HTTP
+// variables a spawned worker finds its grant through, the HTTP
 // endpoint paths, the JSON request/response bodies, and the error
 // vocabulary. Both halves (server.go, client.go) import only from here,
 // so a drift between them is a compile error, not a protocol bug.
 
-// Environment variables the coordinator sets on locally-spawned network
-// workers. A remote worker (zmapgo fleet-worker --join) gets the same
-// values from flags instead.
+// Environment variables the coordinator sets on locally-spawned
+// workers. A remote worker (zmapgo fleet-worker --join) takes the URL
+// and token from flags and its grant from /v1/acquire instead.
 const (
 	// JoinEnv is the coordinator's base URL (http://host:port).
 	JoinEnv = "ZMAPGO_FLEET_JOIN"
@@ -59,6 +59,11 @@ const (
 	// (e.g. a checkpoint older than the one the server holds).
 	codeConflict = "conflict"
 )
+
+// codeServerError answers a server-side failure (a lease, run-file or
+// checkpoint write that failed). It is not a verdict: the client
+// retries it like a dropped connection.
+const codeServerError = "server_error"
 
 type errorResponse struct {
 	Code   string `json:"code"`

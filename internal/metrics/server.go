@@ -109,11 +109,18 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // longer leaks past scan end.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
-	return s.srv.Shutdown(ctx)
+	err := s.srv.Shutdown(ctx)
+	// The Serve goroutine may not have taken the listener yet, in which
+	// case http.Server has none to close; close it here so the port is
+	// free when Shutdown returns.
+	s.ln.Close()
+	return err
 }
 
 // Close stops the server immediately, dropping in-flight requests.
 func (s *Server) Close() error {
 	s.ready.Store(false)
-	return s.srv.Close()
+	err := s.srv.Close()
+	s.ln.Close() // as in Shutdown
+	return err
 }

@@ -158,17 +158,13 @@ const (
 // coordinator's HTTP listener lifecycle, server-side epoch fencing of
 // late RPCs from reclaimed workers (renew/checkpoint/result/commit,
 // named in Reason), result-upload offset resets after lost chunks,
-// grants offered to and acquired by remote joined workers, and rate-file
-// publication failures that exhausted their retry budget
-// (fleet_rate_write_failed; Index is the shard whose budget slice could
-// not be published).
+// and grants offered to and acquired by remote joined workers.
 const (
 	JFleetNetListen  = "fleet_net_listen"
 	JFleetNetFence   = "fleet_net_fence"
 	JFleetNetGap     = "fleet_net_upload_gap"
 	JFleetOffer      = "fleet_offer"
 	JFleetAcquire    = "fleet_acquire"
-	JFleetRateLost   = "fleet_rate_write_failed"
 	JFleetSelfFence  = "fleet_self_fence"
 	JFleetNetExit    = "fleet_net_exit"
 	JFleetNetCommit  = "fleet_net_commit"

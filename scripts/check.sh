@@ -74,15 +74,18 @@ go test -race -count=1 \
 go test -count=1 \
     -run 'TestTracingOverheadWithinTwoPercent' ./zmap
 
-echo "==> fleet chaos: SIGKILL each of 3 workers mid-scan, exactly-once merge"
-go test -race -count=1 -run 'TestFleetChaosExactlyOnce|TestFleetSlowWorkerNotReclaimed' ./zmap
-
-echo "==> fleet-netchaos: networked workers through a partition-and-heal gauntlet"
+echo "==> fleet chaos over loopback HTTP: SIGKILL/SIGSTOP each of 3 workers mid-scan, exactly-once merge"
 go test -race -count=1 \
-    -run 'TestFleetNetPartitionExactlyOnce|TestFleetWorkerSelfFencesPastTTL|TestFleetNetRemoteWorkersJoin|TestFleetRerunAdoptsLostDoneMark' \
+    -run 'TestFleetChaosExactlyOnce|TestFleetSlowWorkerNotReclaimed|TestFleetRerunAdoptsFinishedShards' \
+    ./zmap
+go test -race -count=1 -run 'TestNilPlaneRejected|TestSetAliveMovesBudgetThroughPlane' ./internal/fleet
+
+echo "==> fleet-netchaos: workers through a partition-and-heal gauntlet, one worker runtime, validated RPCs"
+go test -race -count=1 \
+    -run 'TestFleetNetPartitionExactlyOnce|TestFleetWorkerSelfFencesPastTTL|TestFleetNetRemoteWorkersJoin|TestFleetRerunAdoptsLostDoneMark|TestFleetWorkerFencedAtStart|TestFleetWorkerRefusesForeignCheckpoint|TestFleetWorkerCompletesShard|TestFleetWorkerAppliesRateMidScan|TestRunFleetPlaneRequiresToken' \
     ./zmap
 go test -race -count=1 \
-    -run 'TestServerResultIdempotentAppend|TestServerFencesStaleEpoch|TestDecideDeterministic|TestTimelineParseCanonical' \
+    -run 'TestServerResultIdempotentAppend|TestServerFencesStaleEpoch|TestServerRejectsInvalidTarget|TestServerRenewCarriesRate|TestServerCommitBestEffortDoneMark|TestServerCommitSkipsForeignEpochDoneMark|TestClientRetriesServerFailure|TestDecideDeterministic|TestTimelineParseCanonical' \
     ./internal/fleetnet
 
 echo "==> trace-dump smoke: scan with --trace-file, analyze with zanalyze trace"

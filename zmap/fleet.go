@@ -2,10 +2,14 @@ package zmap
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"time"
 
 	"zmapgo/internal/checkpoint"
@@ -81,7 +85,6 @@ type FleetOptions struct {
 	LeaseTTL           time.Duration
 	HeartbeatInterval  time.Duration
 	CheckpointInterval time.Duration
-	RatePollInterval   time.Duration
 	MaxRespawns        int
 	RespawnBackoff     time.Duration
 	RespawnBackoffMax  time.Duration
@@ -89,24 +92,29 @@ type FleetOptions struct {
 	// Faults optionally injects a chaos schedule into the run.
 	Faults *FleetFaultPlan
 
-	// Listen switches the coordinator onto the network control plane:
-	// it serves the coordinator↔worker protocol over HTTP/JSON on this
-	// address (host:port; port 0 picks a free one) and workers join
-	// over TCP instead of sharing the fleet directory. The durable
-	// state still lives in Dir — the server is a fencing facade over
-	// the same files, so merge, resume, and the journal are identical
-	// across planes.
+	// Listen is the bind address of the control plane the coordinator
+	// always serves: the coordinator↔worker protocol over HTTP/JSON
+	// (host:port; default 127.0.0.1:0, and port 0 picks a free one).
+	// Locally spawned workers join it on loopback; name a reachable
+	// address for RemoteWorkers, and a fixed port so a restarted
+	// coordinator can adopt workers still running. The durable state
+	// lives in Dir — the server is a fencing facade over its files.
 	Listen string
 	// Advertise overrides the URL published to workers (useful when
 	// workers reach the coordinator through a different address, e.g. a
 	// proxy or NAT). Default: http://<bound address>.
 	Advertise string
-	// JoinToken, when non-empty, is required on every worker RPC.
+	// JoinToken is required on every worker RPC. When empty and the
+	// workers are spawned locally, the fleet uses a random token kept in
+	// <Dir>/join.token (mode 0600, reused when Dir is re-run) and hands
+	// it to each worker through its environment, so no other local user
+	// can drive the control plane. Remote workers must be given the
+	// token, so a RemoteWorkers fleet without one is open.
 	JoinToken string
 	// RemoteWorkers stops the coordinator from spawning local worker
 	// processes: grants are offered over the network and remote
 	// `zmapgo fleet-worker --join` processes acquire and run them.
-	// Requires Listen.
+	// Pair it with a Listen address those processes can reach.
 	RemoteWorkers bool
 	// OnListen, when set, receives the control plane's directly-bound
 	// URL (http://<listen address>) once the listener is up, before any
@@ -164,15 +172,18 @@ func RunFleet(ctx context.Context, o FleetOptions) (*FleetResult, error) {
 			return nil, err
 		}
 	}
-	var plane fleet.ControlPlane
-	if o.Listen != "" || o.RemoteWorkers || o.OnListen != nil {
-		plane = fleetnet.NewServer(fleetnet.ServerOptions{
-			Listen:    o.Listen,
-			Advertise: o.Advertise,
-			Token:     o.JoinToken,
-			OnListen:  o.OnListen,
-		})
+	token := o.JoinToken
+	if token == "" && !o.RemoteWorkers {
+		if token, err = localJoinToken(dir); err != nil {
+			return nil, err
+		}
 	}
+	plane := fleetnet.NewServer(fleetnet.ServerOptions{
+		Listen:    o.Listen,
+		Advertise: o.Advertise,
+		Token:     token,
+		OnListen:  o.OnListen,
+	})
 	return fleet.Run(ctx, fleet.Config{
 		Dir:                dir,
 		Binary:             o.Binary,
@@ -184,7 +195,6 @@ func RunFleet(ctx context.Context, o FleetOptions) (*FleetResult, error) {
 		LeaseTTL:           o.LeaseTTL,
 		HeartbeatInterval:  o.HeartbeatInterval,
 		CheckpointInterval: o.CheckpointInterval,
-		RatePollInterval:   o.RatePollInterval,
 		MaxRespawns:        o.MaxRespawns,
 		RespawnBackoff:     o.RespawnBackoff,
 		RespawnBackoffMax:  o.RespawnBackoffMax,
@@ -196,6 +206,28 @@ func RunFleet(ctx context.Context, o FleetOptions) (*FleetResult, error) {
 		Metrics:            o.Metrics,
 		Logger:             o.Logger,
 	})
+}
+
+// localJoinToken returns the fleet directory's join token, creating a
+// random one on first use. It outlives the coordinator so a restarted
+// one still answers the live workers it adopts.
+func localJoinToken(dir string) (string, error) {
+	path := filepath.Join(dir, "join.token")
+	if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
+		return string(data), nil
+	}
+	var b [32]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", err
+	}
+	token := hex.EncodeToString(b[:])
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	if err := os.WriteFile(path, []byte(token), 0o600); err != nil {
+		return "", fmt.Errorf("zmap: fleet join token: %w", err)
+	}
+	return token, nil
 }
 
 // fleetScan is the scan payload every worker of a fleet receives: the

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +14,7 @@ import (
 
 	"zmapgo/internal/checkpoint"
 	"zmapgo/internal/fleet"
+	"zmapgo/internal/fleetnet"
 	"zmapgo/internal/packet"
 	"zmapgo/internal/ratelimit"
 	"zmapgo/internal/target"
@@ -236,6 +237,12 @@ func TestFleetChaosExactlyOnce(t *testing.T) {
 		t.Fatalf("rate reallocation not observed (7500: %v, 5000: %v)", sawHalf, sawThird)
 	}
 
+	// Killed and hung workers never reach their own cleanup; the
+	// coordinator drops their spools once they are reaped.
+	if left, _ := filepath.Glob(filepath.Join(chaosDir, "shard-*", "spool.run-*")); len(left) != 0 {
+		t.Fatalf("worker spools left behind: %v", left)
+	}
+
 	// Bounded recovery: chaos wall clock within 2x fault-free.
 	if chaosWall > 2*cleanWall {
 		t.Fatalf("chaos run took %v, over 2x the fault-free %v", chaosWall, cleanWall)
@@ -354,33 +361,41 @@ func TestFleetRerunAdoptsFinishedShards(t *testing.T) {
 	}
 }
 
-// workerSpecFixture builds an on-disk shard state for direct
-// runFleetWorker tests (no processes involved).
-func workerSpecFixture(t *testing.T, dir string, epoch int) (*fleet.WorkerSpec, checkpoint.Fingerprint) {
+// workerSpecFixture lays out a one-shard fleet whose epoch-1 grant
+// runs a small scan, and serves its control plane in-process, as the
+// coordinator does before spawning a worker (no processes involved).
+func workerSpecFixture(t *testing.T, dir string) (*fleetnet.Server, *fleet.WorkerSpec, checkpoint.Fingerprint) {
 	t.Helper()
 	payload, fp := workerScan(t, fleetScan{
 		Options: Options{
-			Ranges:   []string{"10.4.0.0/26"},
+			Ranges:   []string{"10.4.0.0/23"},
 			Seed:     19,
 			Cooldown: 50 * time.Millisecond,
 		},
 		SimSeed:     fleetSimSeed,
 		SimLossless: true,
 	})
-	paths := fleet.PathsFor(dir, 0, epoch, "text")
-	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	spec := &fleet.WorkerSpec{
-		FleetID: "test-fleet", Shard: 0, Shards: 1, Epoch: epoch,
-		Scan: payload, Paths: paths,
+		FleetID: "test-fleet", Shard: 0, Shards: 1, Epoch: 1,
+		Scan: payload, Paths: fleet.PathsFor(dir, 0, 1, "text"),
 		CheckpointInterval: 100 * time.Millisecond,
 		HeartbeatInterval:  100 * time.Millisecond,
 	}
-	if err := fleet.SaveWorkerSpec(paths.Spec, spec); err != nil {
+	return servePlane(t, dir), spec, fp
+}
+
+// servePlane starts a one-shard fleet's control plane over dir.
+func servePlane(t *testing.T, dir string) *fleetnet.Server {
+	t.Helper()
+	if err := os.MkdirAll(fleet.ShardDir(dir, 0), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	return spec, fp
+	srv := fleetnet.NewServer(fleetnet.ServerOptions{})
+	if err := srv.Start(fleet.PlaneInfo{Dir: dir, Workers: 1, Format: "text"}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
 }
 
 // workerScan encodes a one-shard fleet's payload and predicts its
@@ -398,27 +413,46 @@ func workerScan(t *testing.T, scan fleetScan) (json.RawMessage, checkpoint.Finge
 	return payload, fps[0]
 }
 
-func writeLease(t *testing.T, path string, epoch int, fp checkpoint.Fingerprint) {
+// grantEpoch grants spec's shard at epoch through the plane — spec
+// first, then the fencing lease — the way the coordinator does.
+func grantEpoch(t *testing.T, srv *fleetnet.Server, spec fleet.WorkerSpec, epoch int, fp checkpoint.Fingerprint) *fleet.WorkerSpec {
 	t.Helper()
+	spec.Epoch = epoch
+	spec.Paths = fleet.PathsFor(filepath.Dir(spec.Paths.Dir), spec.Shard, epoch, "text")
 	now := time.Now()
 	l := &checkpoint.Lease{
 		FleetID: "test-fleet", ShardIndex: 0, Epoch: epoch,
-		WorkerID:  fmt.Sprintf("shard-0.epoch-%d", epoch),
+		WorkerID:  spec.WorkerID(),
 		State:     checkpoint.LeaseGranted,
 		GrantedAt: now, RenewedAt: now, TTLSecs: 5, Fingerprint: fp,
 	}
-	if err := checkpoint.SaveLease(path, l); err != nil {
+	if err := srv.Grant(&spec, l); err != nil {
 		t.Fatal(err)
 	}
+	return &spec
+}
+
+// dialWorker joins the plane for the granted epoch, as a spawned
+// worker does from its environment.
+func dialWorker(t *testing.T, srv *fleetnet.Server, epoch int) *fleetnet.Client {
+	t.Helper()
+	client, err := fleetnet.Dial(srv.URL(), "", 0, epoch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	return client
 }
 
 // TestFleetWorkerFencedAtStart: a worker whose shard was re-granted
 // before it could adopt its lease must exit fenced without scanning.
 func TestFleetWorkerFencedAtStart(t *testing.T) {
 	dir := t.TempDir()
-	spec, fp := workerSpecFixture(t, dir, 1)
-	writeLease(t, spec.Paths.Lease, 2, fp) // epoch moved past the spec's 1
-	if code := runFleetWorker(spec.Paths.Spec); code != fleet.ExitFenced {
+	srv, spec, fp := workerSpecFixture(t, dir)
+	spec = grantEpoch(t, srv, *spec, 1, fp)
+	client := dialWorker(t, srv, 1)
+	grantEpoch(t, srv, *spec, 2, fp) // epoch moved past the worker's 1
+	if code := runShard(client, nil); code != fleet.ExitFenced {
 		t.Fatalf("fenced worker exited %d, want %d", code, fleet.ExitFenced)
 	}
 	if _, err := os.Stat(spec.Paths.Metadata); err == nil {
@@ -432,12 +466,9 @@ func TestFleetWorkerFencedAtStart(t *testing.T) {
 // dedicated exit code instead of scanning the wrong slice.
 func TestFleetWorkerRefusesForeignCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	spec, fp := workerSpecFixture(t, dir, 1)
+	srv, spec, fp := workerSpecFixture(t, dir)
 	spec.Resume = true
-	if err := fleet.SaveWorkerSpec(spec.Paths.Spec, spec); err != nil {
-		t.Fatal(err)
-	}
-	writeLease(t, spec.Paths.Lease, 1, fp)
+	spec = grantEpoch(t, srv, *spec, 1, fp)
 	foreign := fp
 	foreign.Seed = fp.Seed + 1
 	snap := &checkpoint.Snapshot{
@@ -447,7 +478,7 @@ func TestFleetWorkerRefusesForeignCheckpoint(t *testing.T) {
 	if err := checkpoint.Save(spec.Paths.Checkpoint, snap); err != nil {
 		t.Fatal(err)
 	}
-	if code := runFleetWorker(spec.Paths.Spec); code != fleet.ExitFingerprint {
+	if code := runShard(dialWorker(t, srv, 1), nil); code != fleet.ExitFingerprint {
 		t.Fatalf("worker exited %d on foreign checkpoint, want %d", code, fleet.ExitFingerprint)
 	}
 }
@@ -456,9 +487,9 @@ func TestFleetWorkerRefusesForeignCheckpoint(t *testing.T) {
 // adopt, scan, commit metadata, mark the lease done.
 func TestFleetWorkerCompletesShard(t *testing.T) {
 	dir := t.TempDir()
-	spec, fp := workerSpecFixture(t, dir, 1)
-	writeLease(t, spec.Paths.Lease, 1, fp)
-	if code := runFleetWorker(spec.Paths.Spec); code != fleet.ExitOK {
+	srv, spec, fp := workerSpecFixture(t, dir)
+	spec = grantEpoch(t, srv, *spec, 1, fp)
+	if code := runShard(dialWorker(t, srv, 1), nil); code != fleet.ExitOK {
 		t.Fatalf("worker exited %d", code)
 	}
 	if _, err := os.Stat(spec.Paths.Metadata); err != nil {
@@ -471,7 +502,10 @@ func TestFleetWorkerCompletesShard(t *testing.T) {
 	if l.State != checkpoint.LeaseDone {
 		t.Fatalf("lease state %q after completion", l.State)
 	}
-	ref := referenceLines(t, []string{"10.4.0.0/26"}, 19)
+	ref := referenceLines(t, []string{"10.4.0.0/23"}, 19)
+	if len(ref) == 0 {
+		t.Fatal("reference scan found nothing; the comparison would be vacuous")
+	}
 	got := readLines(t, spec.Paths.Output)
 	sort.Slice(got, func(i, j int) bool {
 		a, _ := target.ParseIPv4(got[i])
@@ -480,6 +514,122 @@ func TestFleetWorkerCompletesShard(t *testing.T) {
 	})
 	if strings.Join(got, ",") != strings.Join(ref, ",") {
 		t.Fatalf("single-shard worker output diverges: %d vs %d rows", len(got), len(ref))
+	}
+}
+
+// TestFleetWorkerAppliesRateMidScan: a rate share the coordinator sets
+// mid-scan reaches the running scanner through the next heartbeat. The
+// shard starts capped at 200 pps, about 80 s for its 16384 targets, and
+// must finish within seconds once the cap is lifted to the full budget.
+func TestFleetWorkerAppliesRateMidScan(t *testing.T) {
+	dir := t.TempDir()
+	payload, fp := workerScan(t, fleetScan{
+		Options: Options{
+			Ranges:    []string{"10.4.0.0/18"},
+			Seed:      19,
+			Rate:      1e6,
+			BatchSize: 8, // a capped batch lasts 40 ms, so the cap is re-read often
+			Cooldown:  50 * time.Millisecond,
+		},
+		SimSeed:     fleetSimSeed,
+		SimLossless: true,
+	})
+	srv := servePlane(t, dir)
+	spec := grantEpoch(t, srv, fleet.WorkerSpec{
+		FleetID: "test-fleet", Shard: 0, Shards: 1,
+		Scan: payload, Paths: fleet.PathsFor(dir, 0, 1, "text"),
+		CheckpointInterval: 100 * time.Millisecond,
+		HeartbeatInterval:  100 * time.Millisecond,
+	}, 1, fp)
+	srv.SetRate(0, 200)
+	client := dialWorker(t, srv, 1)
+	done := make(chan int, 1)
+	go func() { done <- runShard(client, nil) }()
+
+	select {
+	case code := <-done:
+		t.Fatalf("shard capped at 200 pps finished early (exit %d)", code)
+	case <-time.After(time.Second):
+	}
+	srv.SetRate(0, 1e6)
+	lifted := time.Now()
+	select {
+	case code := <-done:
+		if code != fleet.ExitOK {
+			t.Fatalf("worker exited %d after the cap was lifted", code)
+		}
+		t.Logf("shard finished %v after the cap was lifted", time.Since(lifted).Round(time.Millisecond))
+	case <-time.After(20 * time.Second):
+		t.Fatal("lifting the rate share mid-scan did not reach the scanner")
+	}
+	if _, err := os.Stat(spec.Paths.Metadata); err != nil {
+		t.Fatalf("no commit record after the shard finished: %v", err)
+	}
+}
+
+// TestRunFleetPlaneRequiresToken: a fleet started without a JoinToken
+// still guards its control plane. Its spawned workers get a random
+// per-fleet token, and an RPC that lacks it, or carries a wrong one,
+// is refused before it can renew, append results, or commit.
+func TestRunFleetPlaneRequiresToken(t *testing.T) {
+	dir := t.TempDir()
+	var refused []string
+	probe := func(url string) {
+		rpcs := []struct{ path, body string }{
+			{"/v1/renew", `{"shard":0,"epoch":1,"pid":1}`},
+			{"/v1/result?shard=0&epoch=1&offset=0", "10.9.9.9\n"},
+			{"/v1/commit", `{"shard":0,"epoch":1,"size":0}`},
+		}
+		for _, rpc := range rpcs {
+			for _, token := range []string{"", "wrong"} {
+				req, err := http.NewRequest(http.MethodPost, url+rpc.path, strings.NewReader(rpc.body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if token != "" {
+					req.Header.Set("X-Fleet-Token", token)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Errorf("%s: %v", rpc.path, err)
+					continue
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusUnauthorized {
+					t.Errorf("%s with token %q: status %d, want 401", rpc.path, token, resp.StatusCode)
+				}
+				refused = append(refused, rpc.path)
+			}
+		}
+	}
+	res, err := RunFleet(context.Background(), FleetOptions{
+		Workers: 1,
+		Dir:     dir,
+		Scan: Options{
+			Ranges:   []string{"10.4.0.0/24"},
+			Seed:     19,
+			Cooldown: 50 * time.Millisecond,
+		},
+		SimSeed:     fleetSimSeed,
+		SimLossless: true,
+		OnListen:    probe,
+	})
+	if err != nil {
+		t.Fatalf("fleet run (its own workers hold the token): %v", err)
+	}
+	if len(refused) != 6 {
+		t.Fatalf("%d of 6 unauthenticated RPCs checked", len(refused))
+	}
+	if res.Reclaims != 0 {
+		t.Fatalf("%d reclaims, want 0: a forged RPC disturbed the shard", res.Reclaims)
+	}
+	st, err := os.Stat(filepath.Join(dir, "join.token"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode().Perm() != 0o600 {
+		t.Fatalf("join.token mode %v, want 0600", st.Mode().Perm())
 	}
 }
 

@@ -31,39 +31,22 @@ import (
 //
 // In the parent (no worker environment present) it returns false
 // immediately. In a worker child process — spawned by a fleet
-// coordinator with either the spec path (filesystem plane) or the join
-// URL plus shard/epoch (network plane) in the environment — it runs the
-// assigned shard to completion and exits with one of the fleet exit
-// codes, never returning.
+// coordinator with the control plane's join URL plus the granted
+// shard/epoch in the environment — it runs the assigned shard to
+// completion and exits with one of the fleet exit codes, never
+// returning.
 func FleetWorkerMain() bool {
-	if specPath := os.Getenv(fleet.WorkerSpecEnv); specPath != "" {
-		os.Exit(runFleetWorker(specPath))
-		return true
+	join := os.Getenv(fleetnet.JoinEnv)
+	if join == "" {
+		return false
 	}
-	if join := os.Getenv(fleetnet.JoinEnv); join != "" {
-		os.Exit(runFleetWorkerNet(join))
-		return true
-	}
-	return false
+	os.Exit(runFleetWorker(join))
+	return true
 }
 
-// runFleetWorker executes one shard over the filesystem plane: load the
-// spec from disk and run against the shard directory directly.
-func runFleetWorker(specPath string) int {
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	spec, err := fleet.LoadWorkerSpec(specPath)
-	if err != nil {
-		logger.Error("fleet worker: bad spec", "err", err)
-		return fleet.ExitConfig
-	}
-	logger = logger.With("worker", spec.WorkerID())
-	return runFleetWorkerPlane(spec, fleet.NewFSWorkerPlane(spec, logger), logger)
-}
-
-// runFleetWorkerNet executes one shard over the network plane: dial the
-// coordinator named in the environment, fetch the grant, and run
-// against a local spool that the plane ships upstream.
-func runFleetWorkerNet(joinURL string) int {
+// runFleetWorker executes one spawned worker's shard: dial the
+// coordinator named in the environment, fetch the grant, and run it.
+func runFleetWorker(joinURL string) int {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	shard, err1 := strconv.Atoi(os.Getenv(fleetnet.ShardEnv))
 	epoch, err2 := strconv.Atoi(os.Getenv(fleetnet.EpochEnv))
@@ -83,19 +66,18 @@ func runFleetWorkerNet(joinURL string) int {
 		return fleet.ExitCrash
 	}
 	defer client.Close()
-	spec := client.Spec()
-	logger = logger.With("worker", spec.WorkerID(), "plane", "http")
-	return runFleetWorkerPlane(spec, client, logger)
+	return runShard(client, logger.With("worker", client.Spec().WorkerID()))
 }
 
-// runFleetWorkerPlane is the transport-agnostic worker runtime: adopt
-// the lease (first renewal, epoch-fenced), heartbeat with a self-fence
-// clock, scan with periodic checkpoints and syncs, honor the live rate
-// cap, and commit through the plane.
-func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger *slog.Logger) int {
+// runShard is the worker runtime for one granted epoch: adopt the lease
+// (first renewal, epoch-fenced), heartbeat with a self-fence clock and
+// apply the rate share each renewal returns, scan with periodic
+// checkpoints and syncs, and commit through the client.
+func runShard(client *fleetnet.Client, logger *slog.Logger) int {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
+	spec := client.Spec()
 	var scan fleetScan
 	if err := json.Unmarshal(spec.Scan, &scan); err != nil {
 		logger.Error("fleet worker: bad scan payload", "err", err)
@@ -105,10 +87,6 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 	hbInterval := spec.HeartbeatInterval
 	if hbInterval <= 0 {
 		hbInterval = 500 * time.Millisecond
-	}
-	ratePoll := spec.RatePollInterval
-	if ratePoll <= 0 {
-		ratePoll = 100 * time.Millisecond
 	}
 	// The self-fence horizon: once renewals have been failing for longer
 	// than this, the coordinator must be presumed to have reclaimed the
@@ -121,7 +99,8 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 	// Adopt the lease. The first renewal both proves liveness to the
 	// coordinator and fences this worker out if the shard has already
 	// been re-granted (stale spawn racing a reclaim).
-	if err := plane.Adopt(pid, time.Now()); err != nil {
+	rate, err := client.Adopt(pid)
+	if err != nil {
 		if errors.Is(err, checkpoint.ErrLeaseFenced) {
 			logger.Warn("lease already re-granted; exiting")
 			return fleet.ExitFenced
@@ -130,16 +109,26 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 		return fleet.ExitCrash
 	}
 
-	// The heartbeat goroutine may need to stop a scanner that does not
-	// exist yet (fencing during compile); it goes through this indirection.
-	var stopMu sync.Mutex
-	var stopScan func()
+	// The heartbeat goroutine may need to stop, or re-rate, a scanner
+	// that does not exist yet (fencing or a new share during compile);
+	// it goes through this indirection, which keeps the latest share for
+	// the scanner to start at.
+	var ctlMu sync.Mutex
+	var scanner *Scanner
 	requestStop := func() {
-		stopMu.Lock()
-		f := stopScan
-		stopMu.Unlock()
-		if f != nil {
-			f()
+		ctlMu.Lock()
+		sc := scanner
+		ctlMu.Unlock()
+		if sc != nil {
+			sc.Stop()
+		}
+	}
+	applyRate := func(pps float64) {
+		ctlMu.Lock()
+		defer ctlMu.Unlock()
+		rate = pps
+		if scanner != nil {
+			scanner.SetRateCap(pps)
 		}
 	}
 
@@ -169,9 +158,10 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 			case <-stopHB:
 				return
 			case <-t.C:
-				_, err := plane.Renew(pid, time.Now())
+				pps, err := client.Renew(pid)
 				if err == nil {
 					failingSince = time.Time{}
+					applyRate(pps)
 					continue
 				}
 				if errors.Is(err, checkpoint.ErrLeaseFenced) {
@@ -200,7 +190,7 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 
 	var resume *Checkpoint
 	if spec.Resume {
-		snap, lerr := plane.LoadCheckpoint()
+		snap, lerr := client.LoadCheckpoint()
 		if lerr != nil {
 			// An unreachable or corrupt checkpoint only costs re-scanning
 			// the shard from zero; at-least-once is preserved and the
@@ -211,7 +201,7 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 		}
 	}
 
-	out, err := plane.OpenResults()
+	out, err := client.OpenResults()
 	if err != nil {
 		logger.Error("fleet worker: output stream", "err", err)
 		return fleet.ExitConfig
@@ -231,9 +221,9 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 	opts := scan.Options
 	opts.Shards, opts.ShardIndex = spec.Shards, spec.Shard
 	opts.Results, opts.Metadata, opts.Logger = out, &metaBuf, logger
-	opts.CheckpointPath, opts.CheckpointInterval = plane.CheckpointPath(), spec.CheckpointInterval
+	opts.CheckpointPath, opts.CheckpointInterval = client.CheckpointPath(), spec.CheckpointInterval
 	opts.Resume = resume
-	scanner, err := opts.Compile(link)
+	sc, err := opts.Compile(link)
 	if err != nil {
 		if errors.Is(err, ErrCheckpointMismatch) {
 			// The checkpoint belongs to a different scan configuration:
@@ -247,9 +237,10 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 		out.Close()
 		return fleet.ExitConfig
 	}
-	stopMu.Lock()
-	stopScan = scanner.Stop
-	stopMu.Unlock()
+	ctlMu.Lock()
+	scanner = sc
+	sc.SetRateCap(rate)
+	ctlMu.Unlock()
 	if fenced.Load() {
 		// Fenced while compiling: the stop indirection was not wired yet,
 		// so bail before sending a single probe.
@@ -257,33 +248,9 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 		return fleet.ExitFenced
 	}
 
-	// Live rate cap: the coordinator publishes this worker's slice of
-	// the fleet budget (rate file on the filesystem plane, piggybacked
-	// on heartbeats over the network); poll it into the engine (applied
-	// at batch boundaries). Negative means no update yet.
-	if r := plane.RateCap(); r >= 0 {
-		scanner.SetRateCap(r)
-	}
-	stopRate := make(chan struct{})
-	go func() {
-		t := time.NewTicker(ratePoll)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopRate:
-				return
-			case <-t.C:
-				if r := plane.RateCap(); r >= 0 {
-					scanner.SetRateCap(r)
-				}
-			}
-		}
-	}()
-
-	// Sync loop: make the coordinator's durable view (network plane:
-	// the server; filesystem plane: no-op) catch up with local results
-	// and checkpoints, so a reclaim after a partition resumes from real
-	// progress instead of zero.
+	// Sync loop: make the coordinator's durable view catch up with local
+	// results and checkpoints, so a reclaim after a partition resumes
+	// from real progress instead of zero.
 	syncEvery := spec.CheckpointInterval
 	if syncEvery <= 0 {
 		syncEvery = time.Second
@@ -299,7 +266,7 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 			case <-stopSync:
 				return
 			case <-t.C:
-				if err := plane.Sync(); err != nil && !errors.Is(err, checkpoint.ErrLeaseFenced) {
+				if err := client.Sync(); err != nil && !errors.Is(err, checkpoint.ErrLeaseFenced) {
 					logger.Warn("sync failed; retrying next tick", "err", err)
 				}
 			}
@@ -314,17 +281,15 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 	go func() {
 		<-sigCh
 		logger.Info("signal received; stopping gracefully")
-		scanner.Stop()
+		sc.Stop()
 	}()
 
-	summary, runErr := scanner.Run(context.Background())
+	summary, runErr := sc.Run(context.Background())
 	signal.Stop(sigCh)
-	close(stopRate)
 	close(stopSync)
 	<-syncExited
-	// Wait the heartbeat out before committing: a renewal still in
-	// flight while the lease is marked done would rewrite the file and
-	// regress the terminal state (lost update through the filesystem).
+	// Wait the heartbeat out before committing, so no renewal from this
+	// epoch is still in flight once the commit lands.
 	stopHeartbeat()
 	<-hbExited
 	cerr := out.Close()
@@ -352,9 +317,9 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 		return fleet.ExitCrash
 	}
 
-	// Commit: the metadata document's atomic appearance (local rename or
-	// server-side commit RPC) is the shard's completion record.
-	if err := plane.Commit(metaBuf.Bytes()); err != nil {
+	// Commit: the metadata document's atomic server-side appearance is
+	// the shard's completion record.
+	if err := client.Commit(metaBuf.Bytes()); err != nil {
 		if errors.Is(err, checkpoint.ErrLeaseFenced) {
 			logger.Warn("commit fenced; exiting uncommitted")
 			return fleet.ExitFenced
@@ -382,8 +347,8 @@ type JoinFleetOptions struct {
 
 // JoinFleet connects to a fleet coordinator as a remote worker: it
 // long-polls the acquire endpoint for offered shard grants, runs each
-// granted shard in-process through the network worker plane, reports
-// the exit code back, and polls again. It returns when ctx is canceled,
+// granted shard in-process, reports the exit code back, and polls
+// again. It returns when ctx is canceled,
 // or with an error once the coordinator has been unreachable for many
 // consecutive attempts.
 func JoinFleet(ctx context.Context, o JoinFleetOptions) error {
@@ -418,9 +383,9 @@ func JoinFleet(ctx context.Context, o JoinFleetOptions) error {
 		}
 		consecutiveFailures = 0
 		spec := client.Spec()
-		wlog := logger.With("worker", spec.WorkerID(), "plane", "http")
+		wlog := logger.With("worker", spec.WorkerID())
 		wlog.Info("grant acquired; running shard")
-		code := runFleetWorkerPlane(spec, client, wlog)
+		code := runShard(client, wlog)
 		client.Close()
 		fleetnet.ReportExit(o.URL, o.Token, spec.Shard, spec.Epoch, code)
 		wlog.Info("shard run finished", "code", code)

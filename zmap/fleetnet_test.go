@@ -2,7 +2,6 @@ package zmap
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,17 +15,6 @@ import (
 	"zmapgo/internal/trace"
 )
 
-// partitionedPlane simulates a worker cut off from its coordinator:
-// every lease renewal fails at the transport, while the rest of the
-// plane (local filesystem) keeps working.
-type partitionedPlane struct {
-	fleet.WorkerPlane
-}
-
-func (p *partitionedPlane) Renew(pid int, now time.Time) (float64, error) {
-	return -1, errors.New("dial tcp: connection refused (simulated partition)")
-}
-
 // TestFleetWorkerSelfFencesPastTTL is satellite-2's proof: a worker
 // whose renewals fail for longer than the lease TTL must presume the
 // coordinator reclaimed its shard and self-fence — abort the scan,
@@ -34,7 +22,8 @@ func (p *partitionedPlane) Renew(pid int, now time.Time) (float64, error) {
 // Past one TTL the coordinator's reclaim clock has fired, so a worker
 // still scanning would mean two live owners of the same shard; the
 // self-fence is what makes that window bounded from the worker's side
-// of the partition too.
+// of the partition too. The partition is real: the control plane stops
+// answering once the worker has adopted its lease.
 func TestFleetWorkerSelfFencesPastTTL(t *testing.T) {
 	dir := t.TempDir()
 	payload, fp := workerScan(t, fleetScan{
@@ -48,28 +37,38 @@ func TestFleetWorkerSelfFencesPastTTL(t *testing.T) {
 		SimLossless:        true,
 		SimDisableBlowback: true,
 	})
-	paths := fleet.PathsFor(dir, 0, 1, "text")
-	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	spec := &fleet.WorkerSpec{
-		FleetID: "test-fleet", Shard: 0, Shards: 1, Epoch: 1,
-		Scan: payload, Paths: paths,
+	srv := servePlane(t, dir)
+	spec := grantEpoch(t, srv, fleet.WorkerSpec{
+		FleetID: "test-fleet", Shard: 0, Shards: 1,
+		Scan: payload, Paths: fleet.PathsFor(dir, 0, 1, "text"),
 		LeaseTTL:           400 * time.Millisecond,
 		HeartbeatInterval:  100 * time.Millisecond,
 		CheckpointInterval: 100 * time.Millisecond,
-	}
-	writeLease(t, paths.Lease, 1, fp)
+	}, 1, fp)
+	client := dialWorker(t, srv, 1)
 
-	plane := &partitionedPlane{fleet.NewFSWorkerPlane(spec, nil)}
+	// Partition: once the adopting renewal has landed, the coordinator
+	// goes silent for good.
+	partitioned := make(chan struct{})
+	go func() {
+		defer close(partitioned)
+		for {
+			if l, err := checkpoint.LoadLease(spec.Paths.Lease); err == nil && l.State == checkpoint.LeaseRunning {
+				srv.Close()
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
 	start := time.Now()
-	code := runFleetWorkerPlane(spec, plane, nil)
+	code := runShard(client, nil)
 	elapsed := time.Since(start)
+	<-partitioned
 
 	if code != fleet.ExitFenced {
 		t.Fatalf("partitioned worker exited %d, want %d (fenced)", code, fleet.ExitFenced)
 	}
-	if _, err := os.Stat(paths.Metadata); err == nil {
+	if _, err := os.Stat(spec.Paths.Metadata); err == nil {
 		t.Fatal("self-fenced worker committed anyway")
 	}
 	// The fence must fire within TTL plus modest heartbeat/teardown
@@ -159,10 +158,10 @@ func TestFleetRerunAdoptsLostDoneMark(t *testing.T) {
 	}
 }
 
-// TestFleetNetCleanRun: the network control plane, fault-free. The
-// merged output must equal the single-process reference, and the fleet
-// directory must stay byte-compatible with the filesystem plane's
-// layout (same lease/spec/run/metadata files in the same places).
+// TestFleetNetCleanRun: a fault-free fleet on an explicit listen
+// address. The merged output must equal the single-process reference,
+// and the fleet directory must hold the documented layout (lease, spec,
+// run and metadata files in their places, leases done-marked).
 func TestFleetNetCleanRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test")
@@ -197,13 +196,13 @@ func TestFleetNetCleanRun(t *testing.T) {
 		t.Fatalf("net-plane merge diverges from reference: %d vs %d rows",
 			len(strings.Fields(string(merged))), len(ref))
 	}
-	// Byte-compat: the same shard-directory files the filesystem plane
-	// leaves behind, so resume and offline analysis are plane-agnostic.
+	// The documented shard-directory layout, which resume and offline
+	// analysis read.
 	for shard := 0; shard < 2; shard++ {
 		p := fleet.PathsFor(dir, shard, 1, "text")
 		for _, f := range []string{p.Spec, p.Lease, p.Output, p.Metadata} {
 			if _, err := os.Stat(f); err != nil {
-				t.Errorf("shard %d missing plane-shared file %s", shard, filepath.Base(f))
+				t.Errorf("shard %d missing layout file %s", shard, filepath.Base(f))
 			}
 		}
 		l, err := checkpoint.LoadLease(p.Lease)
